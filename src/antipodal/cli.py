@@ -223,7 +223,7 @@ def _cmd_lemma12(args) -> int:
     if args.check_name == "lemma1":
         report = lemma1_check(fam)
         print(f"family size: {report.family_size}")
-        print(f"disjoint pairs checked: {len(report.pair_counts) or 'all'}")
+        print(f"disjoint pairs checked: {len(report.pair_counts)}")
     else:
         survivors, report = deletion_procedure(fam)
         from .bounds import choose

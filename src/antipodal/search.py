@@ -2,26 +2,40 @@
 
 Graphs are bit-indexed: the vertex set of a residual subproblem is one
 Python int, and each vertex's neighborhood is a precomputed mask, so set
-algebra is word-parallel.  The solver is a branch-and-bound with three
-exactness-preserving accelerations:
+algebra is word-parallel.  The solver is a branch and bound that threads
+a target through the recursion (the incumbent pruning of Tomita-Seki
+style maximum-clique solvers).  solve(mask, lo) is exact whenever
+alpha(mask) > lo; otherwise it fails low, returning an upper bound
+<= lo, which proves alpha(mask) <= lo.  Inside the recursion:
 
 * reductions: isolated vertices are always taken; a degree-1 vertex is
   taken over its neighbor (dominance: swapping the neighbor out for the
   leaf never shrinks an independent set), cascading until the residual
-  has minimum degree 2;
-* decomposition: connected components are solved independently and
-  summed, with exact results memoized per residual mask;
+  has minimum degree 2.  The target drops by the number taken;
+* bound: a residual whose greedy clique-cover bound is at most the
+  target fails low at once.  The cover greedily pairs each vertex with
+  an earlier unpaired neighbor, i.e. it covers by edges and singletons;
+  on the triangle-free antipodality graphs that is the full greedy
+  cover, since no clique has three vertices;
+* decomposition: connected components are solved in order, each against
+  the target minus the exact sizes already found and the cover bounds of
+  the components still unsolved; once one fails low, so does the whole
+  residual;
 * branching: on a maximum-degree vertex (lowest index on ties), include
-  branch first; the exclude branch is skipped when a greedy clique-cover
-  bound on the residual cannot beat the include result.  The cover
-  greedily pairs each vertex with an earlier unpaired neighbor, i.e. it
-  covers by edges and singletons; on the triangle-free antipodality
-  graphs that is the full greedy cover, since no clique has three
-  vertices.
+  branch first against target - 1, then the exclude branch against the
+  larger of the target and the include result;
+* memo: exact results and fail-low upper bounds share one dict, keyed by
+  residual mask.  A bound is reused only when it is at most the caller's
+  target, and an exact entry is never replaced by a bound.
 
+At the root the target is the size of a min-degree greedy independent
+set: if the search fails low, the greedy set is the proved optimum.
 Runs are deterministic: all scans are in ascending vertex order.  A
-budget (wall-clock seconds) caps the search; on exhaustion the result
-carries proof_of_optimality=False and a greedy lower bound instead.
+budget (wall-clock seconds, checked on the first node and every 1024th
+after) caps the search; on exhaustion the result carries
+proof_of_optimality=False and the greedy set as a lower bound.  The
+witness is re-checked by an explicit test that raises RuntimeError, so
+it also runs under python -O.
 """
 
 from __future__ import annotations
@@ -137,18 +151,25 @@ class _Solver:
         self.closed = tuple(a | (1 << i) for i, a in enumerate(adj))
         self.deadline = deadline
         self.nodes = 0
-        self.memo: dict[int, tuple[int, int]] = {}
+        self.memo: dict[int, tuple[int, int, bool]] = {}
 
-    def solve(self, mask: int) -> tuple[int, int]:
-        """Exact (size, witness_mask) for the induced subgraph on mask."""
+    def solve(self, mask: int, lo: int) -> tuple[int, int]:
+        """(size, witness_mask) for the induced subgraph on mask, against target lo.
+
+        Exact whenever alpha(mask) > lo.  Otherwise the call fails low: it
+        returns an upper bound size <= lo, which proves alpha(mask) <= lo,
+        with witness 0.
+        """
         self.nodes += 1
-        if self.nodes & 1023 == 0 and time.monotonic() > self.deadline:
+        if self.nodes & 1023 == 1 and time.monotonic() >= self.deadline:
             raise _OutOfTime
         if mask == 0:
             return 0, 0
         hit = self.memo.get(mask)
         if hit is not None:
-            return hit
+            size, wit, exact = hit
+            if exact or size <= lo:
+                return size, wit
 
         adj = self.adj
         chosen = 0
@@ -174,36 +195,54 @@ class _Solver:
             chosen |= 1 << leaf
             m &= ~self.closed[leaf]
 
+        taken = chosen.bit_count()
+        target = lo - taken
         if m == 0:
-            result = (chosen.bit_count(), chosen)
-            self._remember(mask, result)
-            return result
+            return self._exact(mask, taken, chosen)
+        bound = self._cover_bound(m)
+        if bound <= target:
+            return self._fail_low(mask, taken + bound)
 
         comps = self._components(m)
         if len(comps) > 1:
+            # The greedy cover never pairs vertices of two components, so
+            # the components' cover bounds sum to the residual's bound.
+            unsolved = bound
             size = 0
             wit = 0
             for comp in comps:
-                s, w = self.solve(comp)
+                unsolved -= self._cover_bound(comp)
+                need = target - size - unsolved
+                s, w = self.solve(comp, need)
+                if s <= need:
+                    return self._fail_low(mask, taken + size + s + unsolved)
                 size += s
                 wit |= w
         else:
             v = self._branch_vertex(m)
-            s_in, w_in = self.solve(m & ~self.closed[v])
+            s_in, w_in = self.solve(m & ~self.closed[v], target - 1)
             size = s_in + 1
             wit = w_in | (1 << v)
-            rest = m & ~(1 << v)
-            if self._cover_bound(rest) > size:
-                s_ex, w_ex = self.solve(rest)
-                if s_ex > size:
-                    size, wit = s_ex, w_ex
-        result = (size + chosen.bit_count(), wit | chosen)
-        self._remember(mask, result)
-        return result
+            s_ex, w_ex = self.solve(m & ~(1 << v), max(target, size))
+            if s_ex > size:
+                size, wit = s_ex, w_ex
+            if size <= target:
+                return self._fail_low(mask, taken + size)
+        return self._exact(mask, size + taken, wit | chosen)
 
-    def _remember(self, mask: int, result: tuple[int, int]) -> None:
+    def _exact(self, mask: int, size: int, wit: int) -> tuple[int, int]:
+        self._remember(mask, (size, wit, True))
+        return size, wit
+
+    def _fail_low(self, mask: int, bound: int) -> tuple[int, int]:
+        # Only reached when the memo holds no exact entry for mask, so a
+        # bound never replaces an exact entry.
+        self._remember(mask, (bound, 0, False))
+        return bound, 0
+
+    def _remember(self, mask: int, entry: tuple[int, int, bool]) -> None:
         if mask.bit_count() <= _MEMO_BITS and len(self.memo) < _MEMO_ENTRIES:
-            self.memo[mask] = result
+            self.memo[mask] = entry
 
     def _components(self, m: int) -> list[int]:
         comps = []
@@ -259,7 +298,7 @@ class _Solver:
 
 
 def _greedy_mask(adj: tuple[int, ...]) -> int:
-    """Min-degree greedy independent set, used as the budget fallback."""
+    """Min-degree greedy independent set: the root target and the budget fallback."""
     n = len(adj)
     closed = [a | (1 << i) for i, a in enumerate(adj)]
     m = (1 << n) - 1
@@ -297,19 +336,25 @@ def _is_independent(adj: tuple[int, ...], mask: int) -> bool:
 def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Exact alpha(g) with witness; lower bound only on budget exhaustion."""
     t0 = time.monotonic()
+    greedy = _greedy_mask(g.adj)
+    lo = greedy.bit_count()
     solver = _Solver(g.adj, t0 + budget)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 3 * g.n + 1000))
     try:
-        size, wit = solver.solve((1 << g.n) - 1)
+        size, wit = solver.solve((1 << g.n) - 1, lo)
         proved = True
     except _OutOfTime:
-        wit = _greedy_mask(g.adj)
-        size = wit.bit_count()
+        size = 0
         proved = False
     finally:
         sys.setrecursionlimit(old_limit)
-    assert _is_independent(g.adj, wit) and wit.bit_count() == size
+    if size <= lo:
+        # A search that fails low proves the greedy set optimal; on budget
+        # exhaustion the greedy set is the lower bound returned.
+        size, wit = lo, greedy
+    if not _is_independent(g.adj, wit) or wit.bit_count() != size:
+        raise RuntimeError(f"solver witness is not an independent set of size {size}")
     return SearchResult(
         optimum=size,
         witness=tuple(g.labels[i] for i in _bits(wit)),
@@ -360,13 +405,16 @@ def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResul
     """
     result = max_independent_set(antipodality_graph(p), budget)
     fam = VectorFamily(p, (parse_vector(s) for s in result.witness))
-    assert len(fam) == result.optimum, "witness has duplicate or invalid members"
+    if len(fam) != result.optimum:
+        raise RuntimeError("solver witness has duplicate or invalid members")
     for v in fam:
         for w in antipodal_neighbors(v, p):
-            assert w not in fam, "witness is not antipodal-free"
-    assert result.optimum <= theorem1_bound(p)
-    if p.circle_regime:
-        assert result.optimum <= theorem2_bound(p)
+            if w in fam:
+                raise RuntimeError("solver witness is not antipodal-free")
+    if result.optimum > theorem1_bound(p):
+        raise RuntimeError(f"solver optimum {result.optimum} exceeds theorem 1 at {p}")
+    if p.circle_regime and result.optimum > theorem2_bound(p):
+        raise RuntimeError(f"solver optimum {result.optimum} exceeds theorem 2 at {p}")
     return result
 
 
@@ -377,6 +425,6 @@ def max_intersecting(n: int, k: int, budget: float = DEFAULT_BUDGET) -> SearchRe
     families.  For n >= 2k the optimum is checked against ekr_bound.
     """
     result = max_independent_set(kneser_graph(n, k), budget)
-    if n >= 2 * k and result.proof_of_optimality:
-        assert result.optimum <= ekr_bound(n, k)
+    if n >= 2 * k and result.proof_of_optimality and result.optimum > ekr_bound(n, k):
+        raise RuntimeError(f"solver optimum {result.optimum} exceeds EKR at n={n}, k={k}")
     return result

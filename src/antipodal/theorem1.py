@@ -173,6 +173,8 @@ def lemma1_check(fam: VectorFamily) -> TraceReport:
         seen.add(key)
         slice_ab = [v.plus - a_set for v in by_minus.get(b_set, ()) if a_set <= v.plus]
         slice_ba = [v.plus - b_set for v in by_minus.get(a_set, ()) if b_set <= v.plus]
+        report.pair_counts[(a, b)] = len(slice_ab)
+        report.pair_counts[(b, a)] = len(slice_ba)
         for c in slice_ab:
             for d in slice_ba:
                 if not (c & d):

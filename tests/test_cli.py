@@ -101,6 +101,14 @@ def test_verify_lemma1_and_lemma2(tmp_path, capsys):
         assert out.rstrip().endswith("ok")
 
 
+def test_verify_lemma1_counts_ordered_pairs(tmp_path, capsys):
+    path = tmp_path / "e2.txt"
+    save_family(example2(Params(4, 2, 1)), path)
+    code, out, _ = run(capsys, "verify", "lemma1", "--family", str(path))
+    assert code == 0
+    assert "disjoint pairs checked: 12\n" in out  # 4 * 3 ordered disjoint 1-sets
+
+
 def test_certify_thm1_pass_and_fail(tmp_path, capsys):
     good = tmp_path / "good.txt"
     bad = tmp_path / "bad.txt"

@@ -1,6 +1,11 @@
 """Exact solver: graph model, branch and bound vs brute force, extremal values."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,7 @@ from antipodal import (
     theorem1_bound,
     theorem2_bound,
 )
+from antipodal import bounds, search
 from _brute import brute_max_independent
 
 
@@ -38,6 +44,13 @@ def _random_graph(rng, n, p_edge):
 
 def _neighbor_lists(g):
     return [[j for j in range(g.n) if g.adj[i] >> j & 1] for i in range(g.n)]
+
+
+def _induced(g, keep):
+    """Subgraph on the vertices keep; vertex i of it is keep[i] of g."""
+    pos = {old: new for new, old in enumerate(keep)}
+    lists = [[pos[j] for j in range(g.n) if g.adj[old] >> j & 1 and j in pos] for old in keep]
+    return Graph.from_neighbor_lists(tuple(g.labels[old] for old in keep), lists)
 
 
 # ---------------------------------------------------------------- graph model
@@ -139,6 +152,92 @@ def test_solver_budget_exhaustion_falls_back():
     result = max_independent_set(g, budget=0.0)
     assert not result.proof_of_optimality
     assert result.optimum == len(result.witness) > 0
+
+
+# Largest induced subgraph drawn from each small antipodality graph.  These
+# graphs are triangle-free, so their subgraphs have many leaves and split
+# into components.  V(6,2,2) is a perfect matching: its subgraphs are mostly
+# isolated vertices, on which the brute-force oracle doubles per vertex.
+_ORACLE_SIZES = {(5, 2, 1): 22, (6, 3, 1): 22, (6, 2, 2): 18}
+
+
+@given(st.sampled_from(sorted(_ORACLE_SIZES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solver_matches_brute_on_antipodality_subgraphs(triple, data):
+    g = antipodality_graph(Params(*triple))
+    count = data.draw(st.integers(0, _ORACLE_SIZES[triple]))
+    keep = data.draw(st.permutations(range(g.n)))[:count]
+    h = _induced(g, keep)
+    alpha = brute_max_independent(_neighbor_lists(h))
+    result = max_independent_set(h)
+    assert result.proof_of_optimality
+    assert result.optimum == len(result.witness) == alpha
+    # The fail-low contract at every target: exact above it, an upper bound
+    # at most the target otherwise.  One solver, and so one memo, serves all
+    # targets from the loosest down, so every memoized bound is offered to
+    # tighter targets.
+    solver = search._Solver(h.adj, float("inf"))
+    for lo in range(h.n, -2, -1):
+        size, wit = solver.solve((1 << h.n) - 1, lo)
+        if alpha > lo:
+            assert size == wit.bit_count() == alpha
+        else:
+            assert alpha <= size <= lo
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_relabel_invariant_on_antipodality_subgraphs(seed):
+    rng = random.Random(seed)
+    g = antipodality_graph(Params(6, 2, 1))
+    keep = sorted(rng.sample(range(g.n), 40))
+    base = max_independent_set(_induced(g, keep))
+    assert base.proof_of_optimality
+    for _ in range(5):
+        rng.shuffle(keep)
+        result = max_independent_set(_induced(g, keep))
+        assert result.proof_of_optimality
+        assert result.optimum == base.optimum
+
+
+def test_solver_never_consults_closed_form_bounds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver consulted a closed-form bound")
+
+    for module in (bounds, search):
+        for name in ("theorem1_bound", "theorem2_bound", "fk1_bound", "ekr_bound"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for p, alpha in [((5, 2, 1), 12), ((6, 2, 1), 22), ((6, 2, 2), 45), ((6, 3, 1), 30)]:
+        result = max_independent_set(antipodality_graph(Params(*p)))
+        assert result.proof_of_optimality
+        assert result.optimum == alpha
+
+
+def test_witness_check_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from antipodal import search
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        # An edge a-b, and a broken solver that returns both ends.
+        search._Solver.solve = lambda self, mask, lo: (2, mask)
+        g = search.Graph.from_neighbor_lists(("a", "b"), [[1], [0]])
+        try:
+            search.max_independent_set(g)
+        except RuntimeError as exc:
+            print("RuntimeError:", exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("RuntimeError:")
 
 
 # ---------------------------------------------------------------- extremal values
