@@ -77,6 +77,7 @@ from .theorem1 import (
     certify_theorem1,
     deletion_procedure,
     family_b,
+    find_antipodal_pair,
     lemma1_check,
     subfamily,
 )

@@ -74,7 +74,8 @@ def theorem2_bound(p: Params) -> int:
     value = choose(p.n - 1, p.k + p.l - 1) * choose(p.k + p.l - 1, p.k - 1)
     # Product form and k|V|/n agree identically; divisibility is exact.
     scaled = p.k * cardinality_v(p)
-    assert scaled % p.n == 0 and value == scaled // p.n
+    if scaled % p.n or value != scaled // p.n:
+        raise RuntimeError(f"product form {value} disagrees with k|V|/n = {scaled}/{p.n}")
     return value
 
 

@@ -17,20 +17,29 @@ scale:
 
 Exhaustive sweeps are capped at n = 8 (40320 permutations); larger n
 must sample.  Sampled runs are deterministic given their seed.
+
+An exhaustive sweep evaluates only the (n-1)! coset representatives
+with sigma(1) = 1 and counts each with weight n.  This is exact: the
+rotation rho(i) = i + 1 (mod n) maps H onto itself, so H(sigma rho) =
+H(sigma), and the image tuple of sigma rho is the image tuple of sigma
+rotated by one place.  The n permutations sigma rho^t therefore share
+one count, and exactly one of them sends 1 to 1.  The sweep checks the
+rotation invariance of H before it relies on it.  Every mode counts
+with one bitmask kernel and runs in-process.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations as _iter_permutations
+from operator import itemgetter
 
 from .bounds import theorem2_bound
-from .constructions import Permutation, circle_family
-from .errors import DimensionMismatch, RegimeError, TooLarge
-from .theorem1 import Violation, _find_antipodal_pair
+from .constructions import Permutation, apply_permutation, circle_family
+from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
+from .theorem1 import Violation, find_antipodal_pair
 from .vectors import Params, VectorFamily, format_vector
 
 __all__ = [
@@ -94,23 +103,35 @@ class CircleReport:
         }
 
 
-def _family_pairs(fam: VectorFamily) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
-    return frozenset((v.plus, v.minus) for v in fam)
+def _member_getters(p: Params) -> list[itemgetter]:
+    """Per member of H, an itemgetter of its plus then minus entries in a
+    bit table (see _bit_table)."""
+    return [
+        itemgetter(*(i - 1 for i in sorted(v.plus)), *(p.n + i - 1 for i in sorted(v.minus)))
+        for v in circle_family(p)
+    ]
 
 
-def _circle_pairs(p: Params) -> list[tuple[frozenset[int], frozenset[int]]]:
-    return [(v.plus, v.minus) for v in circle_family(p)]
+def _family_codes(fam: VectorFamily) -> frozenset[int]:
+    """F encoded once as the ints plus_mask | minus_mask << n, bit i - 1
+    of each mask standing for coordinate i."""
+    n = fam.params.n
+    return frozenset(
+        sum(1 << (i - 1) for i in v.plus) | sum(1 << (i - 1) for i in v.minus) << n for v in fam
+    )
 
 
-def _image_count(image: tuple[int, ...], h_pairs, fam_pairs) -> int:
-    """|H(sigma) cap F| for sigma given as an image tuple."""
-    count = 0
-    for plus, minus in h_pairs:
-        ip = frozenset(image[i - 1] for i in plus)
-        im = frozenset(image[i - 1] for i in minus)
-        if (ip, im) in fam_pairs:
-            count += 1
-    return count
+def _bit_table(image, n: int) -> list[int]:
+    """Per-coordinate bit table of sigma: entry i - 1 holds the plus bit
+    of sigma(i), entry n + i - 1 its minus bit."""
+    bits = [1 << (x - 1) for x in image]
+    return bits + [b << n for b in bits]
+
+
+def _count(table, getters: list[itemgetter], codes: frozenset[int]) -> int:
+    """|H(sigma) cap F|: the code of each image member is the sum of its
+    entries in sigma's bit table."""
+    return len([g for g in getters if sum(g(table)) in codes])
 
 
 def lemma3_count(fam: VectorFamily, sigma: Permutation) -> int:
@@ -118,22 +139,7 @@ def lemma3_count(fam: VectorFamily, sigma: Permutation) -> int:
     p = fam.params
     if sigma.n != p.n:
         raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={p.n}")
-    return _image_count(sigma.image, _circle_pairs(p), _family_pairs(fam))
-
-
-def _sweep_chunk(args) -> dict[int, int]:
-    """Histogram of |H(sigma) cap F| over all sigma with a fixed first
-    image element.  Top-level so it can cross a process boundary."""
-    n, first, h_raw, fam_raw = args
-    h_pairs = [(frozenset(pl), frozenset(mi)) for pl, mi in h_raw]
-    fam_pairs = frozenset((frozenset(pl), frozenset(mi)) for pl, mi in fam_raw)
-    rest = [x for x in range(1, n + 1) if x != first]
-    hist: dict[int, int] = {}
-    for tail in _iter_permutations(rest):
-        image = (first, *tail)
-        c = _image_count(image, h_pairs, fam_pairs)
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+    return _count(_bit_table(sigma.image, p.n), _member_getters(p), _family_codes(fam))
 
 
 def lemma3_sweep(
@@ -147,45 +153,45 @@ def lemma3_sweep(
     """Histogram of |H(sigma) cap F| over permutations.
 
     Pure data collection; the caller decides what counts as a violation.
-    Exhaustive mode runs all n! permutations (TooLarge for n > 8) and can
-    partition by the first image element across workers; sampled mode
-    draws `samples` permutations from random.Random(seed) and always adds
-    the identity.
+    Exhaustive mode covers all n! permutations (TooLarge for n > 8) by
+    evaluating the (n-1)! with sigma(1) = 1, each with weight n; sampled
+    mode draws `samples` permutations from random.Random(seed) and always
+    adds the identity.  Both run in-process: `workers` must be >= 1 and
+    has no effect at the capped sizes.
     """
+    if workers < 1:
+        raise InvalidParams(f"worker count must be >= 1, got {workers}")
     p = fam.params
-    h_pairs = _circle_pairs(p)
-    fam_pairs = _family_pairs(fam)
+    getters = _member_getters(p)
+    codes = _family_codes(fam)
     hist: dict[int, int] = {}
     if exhaustive:
         if p.n > _EXHAUSTIVE_CAP:
             raise TooLarge(f"exhaustive sweep capped at n <= {_EXHAUSTIVE_CAP}, got n={p.n}")
-        if workers <= 1:
-            for image in _iter_permutations(range(1, p.n + 1)):
-                c = _image_count(image, h_pairs, fam_pairs)
-                hist[c] = hist.get(c, 0) + 1
-        else:
-            h_raw = tuple((tuple(pl), tuple(mi)) for pl, mi in h_pairs)
-            fam_raw = tuple(sorted((tuple(sorted(pl)), tuple(sorted(mi))) for pl, mi in fam_pairs))
-            jobs = [(p.n, first, h_raw, fam_raw) for first in range(1, p.n + 1)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_sweep_chunk, jobs):
-                    for c, m in part.items():
-                        hist[c] = hist.get(c, 0) + m
+        # The coset quotient below is exact only if rotation maps H onto itself.
+        h = circle_family(p)
+        if frozenset(apply_permutation(h, Permutation((*range(2, p.n + 1), 1)))) != frozenset(h):
+            raise RuntimeError(f"circle family at {(p.n, p.k, p.l)} is not rotation-invariant")
+        # Bit tables of the permutations fixing 1: the plus and minus halves
+        # run through the same order of images of 2..n in lockstep.
+        plus_bits = [1 << i for i in range(1, p.n)]
+        minus_bits = [b << p.n for b in plus_bits]
+        plus_head, minus_head = (1,), (1 << p.n,)
+        for plus_tail, minus_tail in zip(_iter_permutations(plus_bits), _iter_permutations(minus_bits)):
+            c = _count(plus_head + plus_tail + minus_head + minus_tail, getters, codes)
+            hist[c] = hist.get(c, 0) + p.n
         checked = math.factorial(p.n)
         mode = "exhaustive"
         used_seed = None
     else:
         rng = random.Random(seed)
-        identity = tuple(range(1, p.n + 1))
-        images = [identity]
-        base = list(identity)
-        for _ in range(max(0, samples)):
-            rng.shuffle(base)
-            images.append(tuple(base))
-        for image in images:
-            c = _image_count(image, h_pairs, fam_pairs)
+        image = list(range(1, p.n + 1))
+        checked = max(0, samples) + 1
+        for step in range(checked):
+            if step:  # the identity first, then successive shuffles
+                rng.shuffle(image)
+            c = _count(_bit_table(image, p.n), getters, codes)
             hist[c] = hist.get(c, 0) + 1
-        checked = len(images)
         mode = "sample"
         used_seed = seed
     return CircleReport(
@@ -296,7 +302,7 @@ def theorem2_certify(fam: VectorFamily, samples: int = 1000, seed: int = 0) -> C
         )
     report = lemma3_sweep(fam, exhaustive=False, samples=samples, seed=seed)
     report.bound_value = theorem2_bound(p)
-    pair = _find_antipodal_pair(fam)
+    pair = find_antipodal_pair(fam)
     if pair is not None:
         report.violations.append(
             Violation(

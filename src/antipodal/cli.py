@@ -2,11 +2,12 @@
 
 Exit codes: 0 when the requested checks pass, 1 when a verifier found a
 mathematical violation or counterexample, 2 for usage, regime, or input
-errors.  Every subcommand is deterministic given its seed flag; output
-never includes wall-clock readings, so identical invocations produce
-byte-identical output.  --threads (or the ANTIPODAL_THREADS environment
-variable) caps the worker count of the exhaustive sweeps; everything
-else runs single-process.
+errors (malformed or unreadable family files included).  Every
+subcommand is deterministic given its seed flag; output never includes
+wall-clock readings, so identical invocations produce byte-identical
+output.  Everything runs in-process, the exhaustive sweeps included:
+--threads (or the ANTIPODAL_THREADS environment variable) is accepted
+and validated (>= 1) but has no effect at the capped sweep sizes.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .search import max_antipodal_free, max_intersecting
 from .setfamilies import verify_prop1_exhaustive
 from .theorem1 import (
     Violation,
-    _find_antipodal_pair,
     certify_theorem1,
     deletion_procedure,
+    find_antipodal_pair,
     lemma1_check,
 )
 from .vectors import Params, enumerate_v
@@ -47,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker cap for exhaustive sweeps (default: ANTIPODAL_THREADS or 1)",
+        help="worker cap, >= 1; sweeps run in-process, so it has no effect "
+        "(default: ANTIPODAL_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -199,19 +201,14 @@ def _cmd_prop1(args) -> int:
     return 0 if report.holds else 1
 
 
-def _load_for(args):
-    fam = load_family(args.family)
-    return fam
-
-
 def _print_violations(violations: list[Violation]) -> None:
     for v in violations:
         print(f"violation [{v.stage}]: {v.message} {json.dumps(v.data)}")
 
 
 def _cmd_lemma12(args) -> int:
-    fam = _load_for(args)
-    pair = _find_antipodal_pair(fam)
+    fam = load_family(args.family)
+    pair = find_antipodal_pair(fam)
     if pair is not None:
         from .vectors import format_vector
 
@@ -314,7 +311,7 @@ def _cmd_double_count(args) -> int:
 
 
 def _cmd_certify_thm1(args) -> int:
-    fam = _load_for(args)
+    fam = load_family(args.family)
     report = certify_theorem1(fam)
     print(f"family size: {report.family_size}")
     if report.final_bound is not None:
@@ -330,7 +327,7 @@ def _cmd_certify_thm1(args) -> int:
 
 
 def _cmd_certify_thm2(args) -> int:
-    fam = _load_for(args)
+    fam = load_family(args.family)
     report = theorem2_certify(fam, samples=args.samples, seed=args.seed)
     print(f"family size: {report.family_size}")
     print(f"circle bound: {report.bound_value}")
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except AntipodalError as exc:
+    except (AntipodalError, OSError) as exc:  # OSError: unreadable or unwritable FILE arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,5 +119,6 @@ def circle_family(p: Params) -> VectorFamily:
         minus = frozenset(_mod1(i - p.k + t, p.n) for t in range(p.l))
         members.append(SignedVector(p.n, plus, minus))
     fam = VectorFamily(p, members)
-    assert len(fam) == p.n
+    if len(fam) != p.n:
+        raise RuntimeError(f"circle family has {len(fam)} distinct members, expected n={p.n}")
     return fam

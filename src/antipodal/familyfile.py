@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import EmptyInput, InvalidParams
+from .errors import BadCharacter, EmptyInput, InvalidParams
 from .vectors import Params, SignedVector, VectorFamily, format_vector, parse_vector
 
 __all__ = [
@@ -75,19 +75,26 @@ def family_to_json(fam: VectorFamily) -> str:
 def family_from_json(text: str) -> VectorFamily:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit, deep nesting
         raise InvalidParams(f"invalid JSON family: {exc}") from exc
-    try:
-        params = Params(int(payload["n"]), int(payload["k"]), int(payload["l"]))
-        raw = payload["vectors"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParams("JSON family needs fields n, k, l, vectors") from exc
+    if not isinstance(payload, dict) or not {"n", "k", "l", "vectors"} <= payload.keys():
+        raise InvalidParams("JSON family must be an object with fields n, k, l, vectors")
+    for name in ("n", "k", "l"):
+        if type(payload[name]) is not int:  # bool and float are not counts
+            raise InvalidParams(f"JSON field {name!r} must be an integer, got {payload[name]!r}")
+    raw = payload["vectors"]
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise InvalidParams("JSON field 'vectors' must be a list of strings")
+    params = Params(payload["n"], payload["k"], payload["l"])
     return VectorFamily(params, (parse_vector(s) for s in raw))
 
 
 def load_family(path: str | Path) -> VectorFamily:
     """Read a family file, sniffing JSON vs text by the first character."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadCharacter(f"family file {path} is not UTF-8 text: {exc}") from exc
     if not text.strip():
         raise EmptyInput(f"family file {path} is empty")
     if text.lstrip().startswith("{"):

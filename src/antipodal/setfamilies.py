@@ -19,7 +19,6 @@ no longer exceed C(m-1, a-1).  Completeness: any counterexample pair
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -143,16 +142,29 @@ class Prop1Report:
         return self.counterexamples == 0
 
 
-def _sweep_chunk(m: int, a: int, b: int, prefix_bits: int, depth: int) -> tuple[int, int, list[str]]:
-    """Run the subset-tree sweep with the first `depth` a-set candidates
-    forced to the include/exclude pattern in prefix_bits.  Top-level so it
-    can cross a process boundary."""
+def verify_prop1_exhaustive(m: int, a: int, b: int, workers: int = 1) -> Prop1Report:
+    """Complete sweep of all cross-intersecting pairs at (m, a, b).
+
+    Feasibility caps: C(m, a) <= 12 and C(m, b) <= 12 (TooLarge beyond).
+    The sweep runs in-process: `workers` must be >= 1 and has no effect
+    at the capped sizes, where a whole sweep takes about a millisecond.
+    """
+    if workers < 1:
+        raise InvalidParams(f"worker count must be >= 1, got {workers}")
+    if a < 1 or b < 1:
+        raise PreconditionError(f"need a, b >= 1, got a={a}, b={b}")
+    if m < a + b:
+        raise PreconditionError(f"need m >= a + b, got m={m}, a={a}, b={b}")
+    if math.comb(m, a) > _SWEEP_CAP or math.comb(m, b) > _SWEEP_CAP:
+        raise TooLarge(
+            f"sweep needs C(m,a) and C(m,b) <= {_SWEEP_CAP}, "
+            f"got {math.comb(m, a)} and {math.comb(m, b)}"
+        )
     asets = list(combinations(range(1, m + 1), a))
     bsets = list(combinations(range(1, m + 1), b))
     cap_a = math.comb(m - 1, a - 1)
     cap_b = math.comb(m - 1, b - 1)
     n_a = len(asets)
-    full = (1 << len(bsets)) - 1
     meets = []
     for s in asets:
         ss = set(s)
@@ -187,56 +199,7 @@ def _sweep_chunk(m: int, a: int, b: int, prefix_bits: int, depth: int) -> tuple[
         recurse(i + 1, size_a + 1, members, comp & meets[i])
         members.pop()
 
-    # Honor the forced prefix, bailing out early if a prune fires inside it.
-    # A prune at prefix level i is shared by every job with the same first
-    # i bits; only the job whose remaining prefix bits are all zero claims
-    # the examined count, so the parallel sum equals the serial count.
-    size_a = 0
-    members: list[int] = []
-    comp = full
-    for i in range(depth):
-        if comp.bit_count() <= cap_b or size_a + (n_a - i) <= cap_a:
-            return (1 if prefix_bits >> i == 0 else 0), 0, []
-        if prefix_bits >> i & 1:
-            members.append(i)
-            size_a += 1
-            comp &= meets[i]
-    recurse(depth, size_a, members, comp)
-    return examined, counterexamples, witnesses
-
-
-def verify_prop1_exhaustive(m: int, a: int, b: int, workers: int = 1) -> Prop1Report:
-    """Complete sweep of all cross-intersecting pairs at (m, a, b).
-
-    Feasibility caps: C(m, a) <= 12 and C(m, b) <= 12 (TooLarge beyond).
-    workers > 1 partitions the subset tree by its first few levels across
-    processes; the merge is a plain sum, so results are identical to the
-    serial run.
-    """
-    if a < 1 or b < 1:
-        raise PreconditionError(f"need a, b >= 1, got a={a}, b={b}")
-    if m < a + b:
-        raise PreconditionError(f"need m >= a + b, got m={m}, a={a}, b={b}")
-    if math.comb(m, a) > _SWEEP_CAP or math.comb(m, b) > _SWEEP_CAP:
-        raise TooLarge(
-            f"sweep needs C(m,a) and C(m,b) <= {_SWEEP_CAP}, "
-            f"got {math.comb(m, a)} and {math.comb(m, b)}"
-        )
-    cap_a = math.comb(m - 1, a - 1)
-    cap_b = math.comb(m - 1, b - 1)
-
-    if workers <= 1:
-        examined, counterexamples, witnesses = _sweep_chunk(m, a, b, 0, 0)
-    else:
-        depth = min(3, math.comb(m, a))
-        jobs = [(m, a, b, bits, depth) for bits in range(1 << depth)]
-        examined = counterexamples = 0
-        witnesses = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ex, ce, wit in pool.map(_sweep_chunk, *zip(*jobs)):
-                examined += ex
-                counterexamples += ce
-                witnesses.extend(wit)
+    recurse(0, 0, [], (1 << len(bsets)) - 1)
     return Prop1Report(
         m=m,
         a=a,
@@ -245,5 +208,5 @@ def verify_prop1_exhaustive(m: int, a: int, b: int, workers: int = 1) -> Prop1Re
         cap_b=cap_b,
         pairs_examined=examined,
         counterexamples=counterexamples,
-        witnesses=tuple(witnesses[:4]),
+        witnesses=tuple(witnesses),
     )

@@ -49,6 +49,7 @@ __all__ = [
     "lemma1_check",
     "deletion_procedure",
     "family_b",
+    "find_antipodal_pair",
     "certify_theorem1",
 ]
 
@@ -218,7 +219,8 @@ def deletion_procedure(fam: VectorFamily) -> tuple[VectorFamily, TraceReport]:
     report.deleted = tuple(format_vector(v) for v in fam if v in doomed)
     report.survivor_size = len(survivors)
     report.accounting_lower_bound = len(fam) - choose(p.n, 2 * p.l) * choose(2 * p.l, p.l) * threshold
-    assert report.survivor_size == report.family_size - sum(report.deletions.values())
+    if report.survivor_size != report.family_size - sum(report.deletions.values()):
+        raise RuntimeError("deletion charges do not account for every removed vector")
     if report.survivor_size < report.accounting_lower_bound:
         report.violations.append(
             Violation(
@@ -242,7 +244,9 @@ def family_b(fam: VectorFamily, t: Iterable[int]) -> SetFamily:
     return SetFamily(p.n, p.l, (v.minus for v in fam if v.support == t))
 
 
-def _find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
+def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
+    """The first antipodal pair (v, w) of the family in member order, or
+    None if the family is antipodal-free."""
     for v in fam:
         for w in antipodal_neighbors(v, fam.params):
             if w in fam:
@@ -259,7 +263,7 @@ def certify_theorem1(fam: VectorFamily) -> TraceReport:
     EKR cap, and the final two inequalities.
     """
     p = fam.params
-    pair = _find_antipodal_pair(fam)
+    pair = find_antipodal_pair(fam)
     if pair is not None:
         report = TraceReport(family_size=len(fam))
         report.violations.append(

@@ -172,7 +172,7 @@ def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
     against -2l, and the containment characterization (minus of each
     inside plus of the other, plus sets disjoint).  Their agreement is an
     internal consistency check; for conforming inputs the equivalence is
-    a theorem, so the assertion can only fire on a coding error.
+    a theorem, so the RuntimeError can only fire on a coding error.
     """
     _check_conforms(v, p)
     _check_conforms(w, p)
@@ -180,7 +180,8 @@ def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
     by_containment = (
         v.minus <= w.plus and w.minus <= v.plus and not (v.plus & w.plus)
     )
-    assert by_product == by_containment, "antipodality characterizations disagree"
+    if by_product != by_containment:
+        raise RuntimeError("antipodality characterizations disagree")
     return by_product
 
 
@@ -243,7 +244,8 @@ def enumerate_v(p: Params) -> VectorFamily:
         for minus in combinations(rest, p.l):
             members.append(SignedVector(p.n, plus_set, frozenset(minus)))
     fam = VectorFamily(p, members)
-    assert len(fam) == cardinality_v(p)
+    if len(fam) != cardinality_v(p):
+        raise RuntimeError(f"enumerated {len(fam)} vectors, closed form says {cardinality_v(p)}")
     return fam
 
 
@@ -251,7 +253,8 @@ def cardinality_v(p: Params) -> int:
     """|V(n, k, l)| as an exact integer."""
     by_placement = math.comb(p.n, p.k) * math.comb(p.n - p.k, p.l)
     by_support = math.comb(p.n, p.k + p.l) * math.comb(p.k + p.l, p.l)
-    assert by_placement == by_support
+    if by_placement != by_support:
+        raise RuntimeError(f"|V| by placement ({by_placement}) and by support ({by_support}) disagree")
     return by_placement
 
 

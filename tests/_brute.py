@@ -58,3 +58,47 @@ def brute_max_independent(adj_lists: list[list[int]]) -> int:
         return max(rec(rest), 1 + rec(rest & ~masks[v]))
 
     return rec((1 << n) - 1)
+
+
+def brute_circle_pairs(n: int, k: int, l: int) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """The cyclic family H from its definition: member i is +1 on
+    {i, ..., i+k-1} and -1 on {i-k, ..., i-k+l-1}, residues in [1..n]."""
+    return [
+        (
+            frozenset((i + t - 1) % n + 1 for t in range(k)),
+            frozenset((i - k + t - 1) % n + 1 for t in range(l)),
+        )
+        for i in range(1, n + 1)
+    ]
+
+
+def brute_image_count(image, h_pairs, fam_pairs) -> int:
+    """|H(sigma) cap F| for sigma given as an image tuple, by rebuilding
+    both index sets of every image member."""
+    count = 0
+    for plus, minus in h_pairs:
+        ip = frozenset(image[i - 1] for i in plus)
+        im = frozenset(image[i - 1] for i in minus)
+        if (ip, im) in fam_pairs:
+            count += 1
+    return count
+
+
+def brute_circle_histogram(strings, n: int, k: int, l: int, images=None) -> dict[int, int]:
+    """Histogram of |H(sigma) cap F| over the given image tuples (default:
+    all n! permutations, one by one), for F given as vector strings."""
+    fam_pairs = frozenset(
+        (
+            frozenset(i for i, c in enumerate(s, start=1) if c == "+"),
+            frozenset(i for i, c in enumerate(s, start=1) if c == "-"),
+        )
+        for s in strings
+    )
+    h_pairs = brute_circle_pairs(n, k, l)
+    if images is None:
+        images = itertools.permutations(range(1, n + 1))
+    hist: dict[int, int] = {}
+    for image in images:
+        c = brute_image_count(image, h_pairs, fam_pairs)
+        hist[c] = hist.get(c, 0) + 1
+    return hist

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
+    InvalidParams,
     Params,
     Permutation,
     RegimeError,
     TooLarge,
+    VectorFamily,
     circle_family,
     double_count_check,
     enumerate_v,
@@ -23,6 +25,17 @@ from antipodal import (
     theorem2_bound,
     theorem2_certify,
 )
+from antipodal import circle
+from _brute import brute_circle_histogram, brute_circle_pairs, brute_image_count
+
+# Every triple with n <= 7 on which H exists (n >= 2k), plus one at n = 8.
+SWEEP_PARAMS = [
+    (n, k, l)
+    for n in range(2, 8)
+    for k in range(1, n // 2 + 1)
+    for l in range(1, k + 1)
+    if k + l <= n
+] + [(8, 3, 2)]
 
 CIRCLE_PARAMS = [
     (n, k, l)
@@ -69,6 +82,71 @@ def test_lemma3_parallel_matches_serial():
     serial = lemma3_sweep(example2(p), exhaustive=True)
     parallel = lemma3_sweep(example2(p), exhaustive=True, workers=2)
     assert serial.count_histogram == parallel.count_histogram
+
+
+def _oracle_families(p: Params):
+    """Full V and a seeded random subfamily of it."""
+    full = enumerate_v(p)
+    rng = random.Random(100 * p.n + 10 * p.k + p.l)
+    keep = set(rng.sample(full.strings(), rng.randint(0, len(full))))
+    return [full, full.restrict(lambda v: str(v) in keep)]
+
+
+@pytest.mark.parametrize("p", SWEEP_PARAMS, ids=str)
+def test_exhaustive_sweep_matches_brute(p):
+    # The coset sweep over (n-1)! representatives with weight n, against the
+    # frozenset count over every one of the n! permutations.
+    for fam in _oracle_families(Params(*p)):
+        expected = brute_circle_histogram(fam.strings(), *p)
+        sweep = lemma3_sweep(fam, exhaustive=True)
+        dc = double_count_check(fam, exhaustive=True)
+        assert sweep.count_histogram == expected == dc.count_histogram
+        assert sweep.sigmas_checked == dc.sigmas_checked == factorial(p[0])
+        assert dc.identity_lhs == sum(c * m for c, m in expected.items()) == dc.identity_rhs
+
+
+@pytest.mark.parametrize("p", SWEEP_PARAMS, ids=str)
+def test_sampled_sweep_and_count_match_brute(p):
+    n = p[0]
+    rng = random.Random(11)
+    images = [tuple(range(1, n + 1))]
+    base = list(images[0])
+    for _ in range(60):
+        rng.shuffle(base)
+        images.append(tuple(base))
+    h_pairs = brute_circle_pairs(*p)
+    for fam in _oracle_families(Params(*p)):
+        report = lemma3_sweep(fam, samples=60, seed=11)
+        assert report.count_histogram == brute_circle_histogram(fam.strings(), *p, images=images)
+        fam_pairs = frozenset((v.plus, v.minus) for v in fam)
+        for image in images[:10]:
+            assert lemma3_count(fam, Permutation(image)) == brute_image_count(image, h_pairs, fam_pairs)
+
+
+def test_exhaustive_sweep_checks_rotation_invariance(monkeypatch):
+    # Swap one member of H for a vector outside it: the coset quotient
+    # would then be unsound, so the sweep must refuse to run.
+    real = circle_family
+
+    def skewed(p):
+        h = real(p)
+        outsider = next(v for v in enumerate_v(p) if v not in h)
+        return VectorFamily(p, [*h.members[1:], outsider])
+
+    monkeypatch.setattr(circle, "circle_family", skewed)
+    p = Params(6, 2, 1)
+    with pytest.raises(RuntimeError, match="rotation"):
+        lemma3_sweep(example2(p), exhaustive=True)
+    with pytest.raises(RuntimeError, match="rotation"):
+        double_count_check(enumerate_v(p), exhaustive=True)
+
+
+def test_sweeps_validate_workers():
+    p = Params(5, 2, 1)
+    with pytest.raises(InvalidParams):
+        lemma3_sweep(example2(p), exhaustive=True, workers=0)
+    with pytest.raises(InvalidParams):
+        double_count_check(example2(p), workers=-1)
 
 
 def test_lemma3_refuses_huge_exhaustive():

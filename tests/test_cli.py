@@ -1,10 +1,25 @@
 """CLI contract: exit codes, determinism, file round trips."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antipodal import Params, enumerate_v, example2, family_from_json, load_family
+from antipodal import (
+    AntipodalError,
+    Params,
+    enumerate_v,
+    example2,
+    family_from_json,
+    family_to_json,
+    family_to_text,
+    load_family,
+)
 from antipodal.cli import main
 from antipodal.familyfile import save_family
 
@@ -13,6 +28,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_quiet(*argv):
+    """main() with stdout and stderr captured, for use under Hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_bounds_exit_zero_and_deterministic(capsys):
@@ -185,6 +208,99 @@ def test_threads_env_fallback(capsys, monkeypatch):
     assert "counterexamples: 0" in out
     monkeypatch.setenv("ANTIPODAL_THREADS", "junk")
     assert run(capsys, "verify", "prop1", "4", "2", "2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "double-count", "6", "2", "1", "--exhaustive"),
+        ("verify", "lemma3", "6", "3", "1", "--exhaustive"),
+    ],
+    ids=["double-count", "lemma3"],
+)
+def test_threads_do_not_change_sweep_output(capsys, argv):
+    one = run(capsys, "--threads", "1", *argv)
+    two = run(capsys, "--threads", "2", *argv)
+    assert one[0] == 0
+    assert one == two
+
+
+def test_missing_family_file_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "certify", "thm1", "--family", str(tmp_path / "absent.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------- exit-code contract
+
+_SEED_FILES = [
+    family_to_text(example2(Params(4, 2, 1))).encode(),
+    family_to_json(example2(Params(4, 2, 1))).encode(),
+    "\n".join(enumerate_v(Params(5, 2, 1)).strings()[:6]).encode(),  # headerless
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text("+-0 x", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("nklv"), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _check_exit_contract(data: bytes) -> None:
+    """Exit 2 with an error line exactly when the file does not load;
+    otherwise the verifiers answer 0 or 1.  Never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            load_family(path)
+            loads = True
+        except AntipodalError:
+            loads = False
+        for argv in (("certify", "thm1", "--family", path), ("verify", "lemma2", "--family", path)):
+            code, out, err = run_quiet(*argv)
+            if loads:
+                assert code in (0, 1), (argv, err)
+            else:
+                assert code == 2, argv
+                assert out == "" and err.startswith("error:")
+
+
+@given(
+    st.sampled_from(range(len(_SEED_FILES))),
+    st.lists(
+        st.tuples(st.sampled_from("rid"), st.integers(0, 200), st.integers(0, 255)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_family_files_keep_exit_contract(which, edits):
+    # byte-level replace / insert / delete, non-UTF-8 bytes included
+    data = bytearray(_SEED_FILES[which])
+    for op, pos, byte in edits:
+        pos %= len(data) + 1
+        if op == "i":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if op == "r":
+                data[pos] = byte
+            else:
+                del data[pos]
+    _check_exit_contract(bytes(data))
+
+
+@given(st.sampled_from(["n", "k", "l", "vectors", None]), _JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_mistyped_json_fields_keep_exit_contract(field, value):
+    payload = {"n": 4, "k": 2, "l": 1, "vectors": ["++-0", "++0-"]}
+    if field is None:
+        payload = value  # a top level that is not the family object
+    else:
+        payload[field] = value
+    _check_exit_contract(json.dumps(payload).encode())
 
 
 def test_table_runs(capsys):

@@ -9,6 +9,7 @@ from antipodal import (
     BadCharacter,
     DimensionMismatch,
     EmptyInput,
+    InvalidParams,
     Params,
     enumerate_v,
     example1,
@@ -66,6 +67,36 @@ def test_json_round_trip():
     back = family_from_json(family_to_json(fam))
     assert back.params == fam.params
     assert back.strings() == fam.strings()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"n": 4, "k": 2, "l": 1, "vectors": []}]',  # top level is not an object
+        '"family"',
+        '{"n": 4, "k": 2, "l": 1}',
+        '{"n": "x", "k": 2, "l": 1, "vectors": []}',
+        '{"n": "4", "k": 2, "l": 1, "vectors": []}',
+        '{"n": 6.5, "k": 2, "l": 1, "vectors": []}',  # not silently truncated to 6
+        '{"n": 4.0, "k": 2, "l": 1, "vectors": []}',
+        '{"n": 4, "k": true, "l": 1, "vectors": []}',
+        '{"n": 4, "k": 2, "l": null, "vectors": []}',
+        '{"n": 4, "k": 2, "l": 1, "vectors": [5]}',
+        '{"n": 4, "k": 2, "l": 1, "vectors": "++-0"}',
+        '{"n": 4, "k": 2, "l": 1, "vectors": {"++-0": 1}}',
+        '{"n": ' + "9" * 5000 + ', "k": 2, "l": 1, "vectors": []}',  # int digit limit
+    ],
+)
+def test_json_rejects_malformed_fields(text):
+    with pytest.raises(InvalidParams):
+        family_from_json(text)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "fam.txt"
+    path.write_bytes(b"V 4 2 1\n++-0\n\xff\xfe\n")
+    with pytest.raises(BadCharacter):
+        load_family(path)
 
 
 def test_save_load_sniffs_format(tmp_path):

@@ -228,6 +228,13 @@ def test_witness_check_survives_python_O():
             search.max_independent_set(g)
         except RuntimeError as exc:
             print("RuntimeError:", exc)
+        # A closed form that disagrees with the enumeration.
+        from antipodal import vectors
+        vectors.cardinality_v = lambda p: 0
+        try:
+            vectors.enumerate_v(vectors.Params(4, 2, 1))
+        except RuntimeError as exc:
+            print("RuntimeError:", exc)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -237,7 +244,9 @@ def test_witness_check_survives_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("RuntimeError:")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("RuntimeError:") for line in lines)
 
 
 # ---------------------------------------------------------------- extremal values
