@@ -58,6 +58,7 @@ from .search import (
     Graph,
     SearchResult,
     antipodality_graph,
+    disjointness_graph,
     kneser_graph,
     max_antipodal_free,
     max_independent_set,
@@ -74,11 +75,12 @@ from .setfamilies import (
 from .theorem1 import (
     TraceReport,
     Violation,
+    antipodal_free_precheck,
     certify_theorem1,
     deletion_procedure,
     family_b,
-    find_antipodal_pair,
     lemma1_check,
+    lemma2_check,
     subfamily,
 )
 from .vectors import (
@@ -89,6 +91,7 @@ from .vectors import (
     antipodal_neighbors,
     cardinality_v,
     enumerate_v,
+    find_antipodal_pair,
     format_vector,
     is_antipodal,
     make_vector,

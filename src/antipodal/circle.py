@@ -39,8 +39,9 @@ from operator import itemgetter
 from .bounds import theorem2_bound
 from .constructions import Permutation, apply_permutation, circle_family
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
-from .theorem1 import Violation, find_antipodal_pair
-from .vectors import Params, VectorFamily, format_vector
+from .search import disjointness_graph, max_independent_set
+from .theorem1 import Violation, antipodal_free_precheck
+from .vectors import Params, VectorFamily
 
 __all__ = [
     "CircleReport",
@@ -155,12 +156,14 @@ def lemma3_sweep(
     Pure data collection; the caller decides what counts as a violation.
     Exhaustive mode covers all n! permutations (TooLarge for n > 8) by
     evaluating the (n-1)! with sigma(1) = 1, each with weight n; sampled
-    mode draws `samples` permutations from random.Random(seed) and always
-    adds the identity.  Both run in-process: `workers` must be >= 1 and
-    has no effect at the capped sizes.
+    mode draws `samples` (>= 0) permutations from random.Random(seed) and
+    always adds the identity.  Both run in-process: `workers` must be
+    >= 1 and has no effect at the capped sizes.
     """
     if workers < 1:
         raise InvalidParams(f"worker count must be >= 1, got {workers}")
+    if samples < 0:
+        raise InvalidParams(f"sample count must be >= 0, got {samples}")
     p = fam.params
     getters = _member_getters(p)
     codes = _family_codes(fam)
@@ -186,7 +189,7 @@ def lemma3_sweep(
     else:
         rng = random.Random(seed)
         image = list(range(1, p.n + 1))
-        checked = max(0, samples) + 1
+        checked = samples + 1
         for step in range(checked):
             if step:  # the identity first, then successive shuffles
                 rng.shuffle(image)
@@ -212,21 +215,10 @@ def max_intersecting_cyclic(n: int, k: int) -> int:
     Computed as a maximum independent set of the interval disjointness
     graph; for n >= 2k the answer is k, which the suite pins down.
     """
-    from .search import Graph, max_independent_set
-
     if n < 2 * k or k < 1:
         raise RegimeError(f"need n >= 2k >= 2, got n={n}, k={k}")
-    intervals = [frozenset((i + t - 1) % n + 1 for t in range(k)) for i in range(1, n + 1)]
-    adj = []
-    for i, a in enumerate(intervals):
-        mask = 0
-        for j, b in enumerate(intervals):
-            if i != j and not (a & b):
-                mask |= 1 << j
-        adj.append(mask)
-    labels = tuple(",".join(map(str, sorted(s))) for s in intervals)
-    graph = Graph(labels=labels, adj=tuple(adj))
-    return max_independent_set(graph).optimum
+    intervals = [[(i + t - 1) % n + 1 for t in range(k)] for i in range(1, n + 1)]
+    return max_independent_set(disjointness_graph(intervals)).optimum
 
 
 def double_count_check(
@@ -302,15 +294,7 @@ def theorem2_certify(fam: VectorFamily, samples: int = 1000, seed: int = 0) -> C
         )
     report = lemma3_sweep(fam, exhaustive=False, samples=samples, seed=seed)
     report.bound_value = theorem2_bound(p)
-    pair = find_antipodal_pair(fam)
-    if pair is not None:
-        report.violations.append(
-            Violation(
-                "antipodal-free precheck",
-                "input family contains an antipodal pair",
-                {"pair": [format_vector(pair[0]), format_vector(pair[1])]},
-            )
-        )
+    report.violations.extend(antipodal_free_precheck(fam))
     if report.max_observed > p.k:
         report.violations.append(
             Violation(

@@ -24,14 +24,8 @@ from .errors import AntipodalError, InvalidParams, RegimeError, TooLarge
 from .familyfile import family_to_json, family_to_text, load_family, save_family
 from .search import max_antipodal_free, max_intersecting
 from .setfamilies import verify_prop1_exhaustive
-from .theorem1 import (
-    Violation,
-    certify_theorem1,
-    deletion_procedure,
-    find_antipodal_pair,
-    lemma1_check,
-)
-from .vectors import Params, enumerate_v
+from .theorem1 import antipodal_free_precheck, certify_theorem1, lemma1_check, lemma2_check
+from .vectors import Params, VectorFamily, enumerate_v, parse_vector
 
 __all__ = ["main"]
 
@@ -201,64 +195,34 @@ def _cmd_prop1(args) -> int:
     return 0 if report.holds else 1
 
 
-def _print_violations(violations: list[Violation]) -> None:
-    for v in violations:
+def _verdict(report, passed: str, trace: bool = False) -> int:
+    """Print the report's violations, then `passed` or FAILED, then the
+    JSON trace if asked for; return the exit code."""
+    for v in report.violations:
         print(f"violation [{v.stage}]: {v.message} {json.dumps(v.data)}")
+    print(passed if report.ok else "FAILED")
+    if trace:
+        print(json.dumps(report.as_dict(), indent=2))
+    return 0 if report.ok else 1
 
 
 def _cmd_lemma12(args) -> int:
     fam = load_family(args.family)
-    pair = find_antipodal_pair(fam)
-    if pair is not None:
-        from .vectors import format_vector
-
-        print(
-            "violation [antipodal-free precheck]: input family contains an "
-            f"antipodal pair {format_vector(pair[0])}, {format_vector(pair[1])}"
-        )
+    precheck = antipodal_free_precheck(fam)
+    if precheck:
+        v = precheck[0]
+        print(f"violation [{v.stage}]: {v.message} {', '.join(v.data['pair'])}")
         return 1
     if args.check_name == "lemma1":
         report = lemma1_check(fam)
         print(f"family size: {report.family_size}")
         print(f"disjoint pairs checked: {len(report.pair_counts)}")
     else:
-        survivors, report = deletion_procedure(fam)
-        from .bounds import choose
-        from .setfamilies import SetFamily, is_intersecting
-
-        p = fam.params
-        cap = choose(p.k + p.l - 1, p.l - 1)
-        by_support: dict = {}
-        for v in survivors:
-            by_support.setdefault(v.support, []).append(v.minus)
-        for support in sorted(by_support, key=sorted):
-            bt = SetFamily(p.n, p.l, by_support[support])
-            t_key = tuple(sorted(support))
-            report.family_b_sizes[t_key] = len(bt)
-            if not is_intersecting(bt):
-                report.violations.append(
-                    Violation(
-                        "lemma2",
-                        "surviving minus sets over a support are not intersecting",
-                        {"T": list(t_key)},
-                    )
-                )
-            if len(bt) > cap:
-                report.violations.append(
-                    Violation(
-                        "lemma2-cap",
-                        "surviving minus sets over a support exceed the EKR cap",
-                        {"T": list(t_key), "size": len(bt), "cap": cap},
-                    )
-                )
+        report = lemma2_check(fam)
         print(f"family size: {report.family_size}")
         print(f"survivors: {report.survivor_size}")
         print(f"supports with survivors: {len(report.family_b_sizes)}")
-    _print_violations(report.violations)
-    print("ok" if report.ok else "FAILED")
-    if args.trace:
-        print(json.dumps(report.as_dict(), indent=2))
-    return 0 if report.ok else 1
+    return _verdict(report, "ok", args.trace)
 
 
 def _cmd_lemma3(args) -> int:
@@ -305,9 +269,7 @@ def _cmd_double_count(args) -> int:
     else:
         print(f"mean observed: {report.mean_observed:.6f}")
         print(f"mean expected: {report.mean_expected:.6f}")
-    _print_violations(report.violations)
-    print("ok" if report.ok else "FAILED")
-    return 0 if report.ok else 1
+    return _verdict(report, "ok")
 
 
 def _cmd_certify_thm1(args) -> int:
@@ -319,11 +281,7 @@ def _cmd_certify_thm1(args) -> int:
         print(f"survivors: {report.survivor_size}")
         print(f"accounting lower bound: {report.accounting_lower_bound}")
         print(f"two-term bound: {report.final_bound}")
-    _print_violations(report.violations)
-    print("certified" if report.ok else "FAILED")
-    if args.trace:
-        print(json.dumps(report.as_dict(), indent=2))
-    return 0 if report.ok else 1
+    return _verdict(report, "certified", args.trace)
 
 
 def _cmd_certify_thm2(args) -> int:
@@ -333,11 +291,7 @@ def _cmd_certify_thm2(args) -> int:
     print(f"circle bound: {report.bound_value}")
     print(f"permutations checked: {report.sigmas_checked} ({report.mode})")
     print(f"max |H(sigma) cap F|: {report.max_observed} (cap {report.cap})")
-    _print_violations(report.violations)
-    print("certified" if report.ok else "FAILED")
-    if args.trace:
-        print(json.dumps(report.as_dict(), indent=2))
-    return 0 if report.ok else 1
+    return _verdict(report, "certified", args.trace)
 
 
 def _cmd_search(args) -> int:
@@ -364,8 +318,6 @@ def _cmd_search(args) -> int:
         print(f"proved optimal: {'yes' if result.proof_of_optimality else 'no'}")
         print(f"nodes explored: {result.nodes_explored}")
     if args.witness and not args.kneser:
-        from .vectors import VectorFamily, parse_vector
-
         fam = VectorFamily(p, (parse_vector(s) for s in result.witness))
         save_family(fam, args.witness)
         print(f"witness written to {args.witness}")

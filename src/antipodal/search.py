@@ -45,6 +45,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
 from .errors import InvalidParams, TooLarge
@@ -54,6 +55,7 @@ from .vectors import (
     antipodal_neighbors,
     cardinality_v,
     enumerate_v,
+    find_antipodal_pair,
     parse_vector,
 )
 
@@ -61,6 +63,7 @@ __all__ = [
     "Graph",
     "SearchResult",
     "antipodality_graph",
+    "disjointness_graph",
     "kneser_graph",
     "max_independent_set",
     "max_antipodal_free",
@@ -335,6 +338,8 @@ def _is_independent(adj: tuple[int, ...], mask: int) -> bool:
 
 def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Exact alpha(g) with witness; lower bound only on budget exhaustion."""
+    if math.isnan(budget):
+        raise InvalidParams("budget must be a number of seconds, got nan")
     t0 = time.monotonic()
     greedy = _greedy_mask(g.adj)
     lo = greedy.bit_count()
@@ -380,13 +385,10 @@ def antipodality_graph(p: Params, max_vertices: int = DEFAULT_VERTEX_CAP) -> Gra
     return Graph(labels=fam.strings(), adj=tuple(adj))
 
 
-def kneser_graph(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """k-subsets of [n] with an edge per disjoint pair, lex vertex order."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if math.comb(n, k) > max_vertices:
-        raise TooLarge(f"C({n},{k})={math.comb(n, k)} exceeds the vertex cap {max_vertices}")
-    sets = [frozenset(c) for c in combinations(range(1, n + 1), k)]
+def disjointness_graph(sets: Iterable[Iterable[int]]) -> Graph:
+    """One vertex per set, labelled by its sorted elements, and one edge
+    per disjoint pair; vertices in input order."""
+    sets = [frozenset(s) for s in sets]
     adj = [0] * len(sets)
     for i, a in enumerate(sets):
         for j in range(i + 1, len(sets)):
@@ -395,6 +397,15 @@ def kneser_graph(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Grap
                 adj[j] |= 1 << i
     labels = tuple(",".join(map(str, sorted(s))) for s in sets)
     return Graph(labels=labels, adj=tuple(adj))
+
+
+def kneser_graph(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
+    """k-subsets of [n] with an edge per disjoint pair, lex vertex order."""
+    if not 1 <= k <= n:
+        raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
+    if math.comb(n, k) > max_vertices:
+        raise TooLarge(f"C({n},{k})={math.comb(n, k)} exceeds the vertex cap {max_vertices}")
+    return disjointness_graph(combinations(range(1, n + 1), k))
 
 
 def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResult:
@@ -407,10 +418,8 @@ def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResul
     fam = VectorFamily(p, (parse_vector(s) for s in result.witness))
     if len(fam) != result.optimum:
         raise RuntimeError("solver witness has duplicate or invalid members")
-    for v in fam:
-        for w in antipodal_neighbors(v, p):
-            if w in fam:
-                raise RuntimeError("solver witness is not antipodal-free")
+    if find_antipodal_pair(fam) is not None:
+        raise RuntimeError("solver witness is not antipodal-free")
     if result.optimum > theorem1_bound(p):
         raise RuntimeError(f"solver optimum {result.optimum} exceeds theorem 1 at {p}")
     if p.circle_regime and result.optimum > theorem2_bound(p):

@@ -15,11 +15,13 @@ behind theorem1_bound:
    the first pair that hits it.  That policy is stamped into every
    report.  The survivor count obeys the accounting lower bound
    |F'| >= |F| - C(n,2l) C(2l,l) C(n-2l-1,k-l-1).
-3. family_b / certify_theorem1: for each (k+l)-set T, the minus sets of
-   surviving vectors supported exactly on T must form an intersecting
-   l-uniform family, hence at most C(k+l-1, l-1) of them; summing over T
-   gives |F'| <= C(n,k+l) C(k+l-1,l-1) and, with the accounting bound,
-   |F| <= theorem1_bound(p).
+3. lemma2_check: for each (k+l)-set T, the minus sets of surviving
+   vectors supported exactly on T (family_b) must form an intersecting
+   l-uniform family, hence at most C(k+l-1, l-1) of them.
+4. certify_theorem1: summing stage 3 over T gives
+   |F'| <= C(n,k+l) C(k+l-1,l-1) and, with the accounting bound,
+   |F| <= theorem1_bound(p).  It runs the antipodal-free precheck
+   (antipodal_free_precheck) first, since the stages assume it.
 
 Violations discovered at any stage are collected in the report, never
 raised; an empty violation list certifies every inequality above.
@@ -38,7 +40,7 @@ from .vectors import (
     Params,
     SignedVector,
     VectorFamily,
-    antipodal_neighbors,
+    find_antipodal_pair,
     format_vector,
 )
 
@@ -48,8 +50,9 @@ __all__ = [
     "subfamily",
     "lemma1_check",
     "deletion_procedure",
+    "lemma2_check",
     "family_b",
-    "find_antipodal_pair",
+    "antipodal_free_precheck",
     "certify_theorem1",
 ]
 
@@ -244,46 +247,16 @@ def family_b(fam: VectorFamily, t: Iterable[int]) -> SetFamily:
     return SetFamily(p.n, p.l, (v.minus for v in fam if v.support == t))
 
 
-def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
-    """The first antipodal pair (v, w) of the family in member order, or
-    None if the family is antipodal-free."""
-    for v in fam:
-        for w in antipodal_neighbors(v, fam.params):
-            if w in fam:
-                return v, w
-    return None
+def lemma2_check(fam: VectorFamily) -> TraceReport:
+    """Run deletion_procedure, then check the survivors over each support.
 
-
-def certify_theorem1(fam: VectorFamily) -> TraceReport:
-    """Run the full pipeline and certify |F| <= theorem1_bound(p).
-
-    Stops after the antipodal-free precheck if it fails (the remaining
-    stages assume it).  Otherwise aggregates the lemma1 check, the
-    deletion trace, the per-support intersecting families with their
-    EKR cap, and the final two inequalities.
+    For every (k+l)-set T carrying survivors, the minus sets over T must
+    be intersecting (a lemma2 violation lists them) and at most the EKR
+    cap C(k+l-1, l-1) in number (a lemma2-cap violation).  The deletion
+    trace is returned with family_b_sizes and these violations added.
     """
     p = fam.params
-    pair = find_antipodal_pair(fam)
-    if pair is not None:
-        report = TraceReport(family_size=len(fam))
-        report.violations.append(
-            Violation(
-                "antipodal-free precheck",
-                "input family contains an antipodal pair",
-                {"pair": [format_vector(pair[0]), format_vector(pair[1])]},
-            )
-        )
-        return report
-
-    report = lemma1_check(fam)
-    survivors, deletion_report = deletion_procedure(fam)
-    report.pair_counts = deletion_report.pair_counts
-    report.deletions = deletion_report.deletions
-    report.deleted = deletion_report.deleted
-    report.survivor_size = deletion_report.survivor_size
-    report.accounting_lower_bound = deletion_report.accounting_lower_bound
-    report.violations.extend(deletion_report.violations)
-
+    survivors, report = deletion_procedure(fam)
     cap = choose(p.k + p.l - 1, p.l - 1)
     by_support: dict[frozenset[int], list[frozenset[int]]] = {}
     for v in survivors:
@@ -308,8 +281,42 @@ def certify_theorem1(fam: VectorFamily) -> TraceReport:
                     {"T": list(t_key), "size": len(bt), "cap": cap},
                 )
             )
+    return report
 
-    survivor_cap = choose(p.n, p.k + p.l) * cap
+
+def antipodal_free_precheck(fam: VectorFamily) -> list[Violation]:
+    """No violation if the family is antipodal-free, else one naming the
+    first antipodal pair (see find_antipodal_pair)."""
+    pair = find_antipodal_pair(fam)
+    if pair is None:
+        return []
+    return [
+        Violation(
+            "antipodal-free precheck",
+            "input family contains an antipodal pair",
+            {"pair": [format_vector(pair[0]), format_vector(pair[1])]},
+        )
+    ]
+
+
+def certify_theorem1(fam: VectorFamily) -> TraceReport:
+    """Run the full pipeline and certify |F| <= theorem1_bound(p).
+
+    Stops after the antipodal-free precheck if it fails (the remaining
+    stages assume it).  Otherwise aggregates the lemma1 violations, the
+    lemma2 report (deletion trace, per-support intersecting families
+    with their EKR cap), and the final two inequalities.
+    """
+    p = fam.params
+    precheck = antipodal_free_precheck(fam)
+    if precheck:
+        return TraceReport(family_size=len(fam), violations=precheck)
+
+    lemma1_violations = lemma1_check(fam).violations
+    report = lemma2_check(fam)
+    report.violations[:0] = lemma1_violations
+
+    survivor_cap = choose(p.n, p.k + p.l) * choose(p.k + p.l - 1, p.l - 1)
     if report.survivor_size > survivor_cap:
         report.violations.append(
             Violation(

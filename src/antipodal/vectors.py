@@ -43,6 +43,7 @@ __all__ = [
     "cardinality_v",
     "antipodal_neighbors",
     "antipodal_degree",
+    "find_antipodal_pair",
 ]
 
 
@@ -276,6 +277,16 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
         for extra_plus in combinations(zeros, p.k - p.l):
             out.append(SignedVector(p.n, v.minus | frozenset(extra_plus), frozenset(new_minus)))
     return out
+
+
+def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
+    """The first antipodal pair (v, w) of the family in member order, or
+    None if the family is antipodal-free."""
+    for v in fam:
+        for w in antipodal_neighbors(v, fam.params):
+            if w in fam:
+                return v, w
+    return None
 
 
 def antipodal_degree(p: Params) -> int:

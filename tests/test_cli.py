@@ -14,10 +14,12 @@ from antipodal import (
     AntipodalError,
     Params,
     enumerate_v,
+    example1,
     example2,
     family_from_json,
     family_to_json,
     family_to_text,
+    lemma2_check,
     load_family,
 )
 from antipodal.cli import main
@@ -124,6 +126,17 @@ def test_verify_lemma1_and_lemma2(tmp_path, capsys):
         assert out.rstrip().endswith("ok")
 
 
+@pytest.mark.parametrize("triple", [(4, 2, 1), (5, 2, 1), (6, 2, 2), (7, 3, 1)])
+def test_verify_lemma2_trace_is_lemma2_check(tmp_path, capsys, triple):
+    for build in (example1, example2):
+        fam = build(Params(*triple))
+        path = tmp_path / f"{build.__name__}.txt"
+        save_family(fam, path)
+        code, out, _ = run(capsys, "verify", "lemma2", "--family", str(path), "--trace")
+        assert code == 0
+        assert json.loads(out[out.index("{") :]) == lemma2_check(fam).as_dict()
+
+
 def test_verify_lemma1_counts_ordered_pairs(tmp_path, capsys):
     path = tmp_path / "e2.txt"
     save_family(example2(Params(4, 2, 1)), path)
@@ -189,6 +202,28 @@ def test_search_kneser(capsys):
     code, out, _ = run(capsys, "search", "--kneser", "5", "2")
     assert code == 0
     assert "= 4" in out
+
+
+@pytest.mark.parametrize("k", ["0", "5"])
+def test_search_kneser_k_out_of_range_exit_two(capsys, k):
+    code, out, err = run(capsys, "search", "--kneser", "3", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_negative_samples_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "lemma3", "6", "3", "1", "--samples", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_nan_budget_exit_two(capsys):
+    code, out, err = run(capsys, "search", "4", "2", "1", "--budget", "nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_search_arity_errors(capsys):

@@ -9,6 +9,7 @@ from antipodal import (
     BadT,
     Params,
     RangeError,
+    antipodal_free_precheck,
     certify_theorem1,
     choose,
     deletion_procedure,
@@ -17,8 +18,10 @@ from antipodal import (
     example2,
     family_b,
     lemma1_check,
+    lemma2_check,
     subfamily,
     theorem1_bound,
+    theorem2_certify,
 )
 
 PIPELINE_PARAMS = [
@@ -190,3 +193,48 @@ def test_report_as_dict_round_trips_keys():
     assert blob["ok"] is True
     assert blob["survivor_size"] == 3
     assert blob["deletions"]["1|3"] == 1
+
+
+# ---------------------------------------------------------------- lemma 2 and the precheck
+
+@pytest.mark.parametrize("triple, count", [((4, 2, 1), 4), ((5, 2, 2), 5)])
+def test_lemma2_check_flags_full_v(triple, count):
+    # full V holds antipodal pairs, so after deletion the minus sets over
+    # some supports are neither intersecting nor within the EKR cap
+    report = lemma2_check(enumerate_v(Params(*triple)))
+    stages = [v.stage for v in report.violations]
+    assert stages.count("lemma2") == count
+    assert stages.count("lemma2-cap") == count
+    for v in report.violations:
+        if v.stage == "lemma2":
+            assert set(v.data) == {"T", "members"}
+            assert len(v.data["T"]) == sum(triple[1:])
+
+
+def test_lemma2_check_extends_the_deletion_trace():
+    fam = example1(Params(5, 2, 1))
+    survivors, deletion = deletion_procedure(fam)
+    report = lemma2_check(fam)
+    assert report.ok
+    assert report.pair_counts == deletion.pair_counts
+    assert report.deleted == deletion.deleted
+    assert sum(report.family_b_sizes.values()) == len(survivors)
+
+
+def test_certify_report_is_the_lemma2_report_plus_the_bound():
+    for triple in ((5, 2, 1), (6, 2, 2), (6, 3, 1)):
+        p = Params(*triple)
+        fam = example1(p)
+        expected = lemma2_check(fam).as_dict()
+        expected["final_bound"] = theorem1_bound(p)
+        assert certify_theorem1(fam).as_dict() == expected
+
+
+def test_precheck_is_shared_by_both_certifiers():
+    fam = example2(Params(5, 2, 1))
+    assert antipodal_free_precheck(fam) == []
+    bad = enumerate_v(Params(5, 2, 1))
+    (pre,) = antipodal_free_precheck(bad)
+    assert pre.stage == "antipodal-free precheck"
+    assert certify_theorem1(bad).violations == [pre]
+    assert pre in theorem2_certify(bad, samples=5).violations
