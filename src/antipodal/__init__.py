@@ -96,7 +96,9 @@ from .vectors import (
     is_antipodal,
     make_vector,
     parse_vector,
+    partner_codes,
     scalar_product,
+    vector_code,
 )
 
 __version__ = "0.1.0"

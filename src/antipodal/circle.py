@@ -25,7 +25,10 @@ H(sigma), and the image tuple of sigma rho is the image tuple of sigma
 rotated by one place.  The n permutations sigma rho^t therefore share
 one count, and exactly one of them sends 1 to 1.  The sweep checks the
 rotation invariance of H before it relies on it.  Every mode counts
-with one bitmask kernel and runs in-process.
+with one bitmask kernel and runs in-process.  F enters the kernel as
+the set of its vector codes (vectors.vector_code), and a member of
+H(sigma) is counted when the code summed from sigma's bit table lies in
+that set.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .constructions import Permutation, apply_permutation, circle_family
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
 from .search import disjointness_graph, max_independent_set
 from .theorem1 import Violation, antipodal_free_precheck
-from .vectors import Params, VectorFamily
+from .vectors import Params, VectorFamily, vector_code
 
 __all__ = [
     "CircleReport",
@@ -113,15 +116,6 @@ def _member_getters(p: Params) -> list[itemgetter]:
     ]
 
 
-def _family_codes(fam: VectorFamily) -> frozenset[int]:
-    """F encoded once as the ints plus_mask | minus_mask << n, bit i - 1
-    of each mask standing for coordinate i."""
-    n = fam.params.n
-    return frozenset(
-        sum(1 << (i - 1) for i in v.plus) | sum(1 << (i - 1) for i in v.minus) << n for v in fam
-    )
-
-
 def _bit_table(image, n: int) -> list[int]:
     """Per-coordinate bit table of sigma: entry i - 1 holds the plus bit
     of sigma(i), entry n + i - 1 its minus bit."""
@@ -140,7 +134,8 @@ def lemma3_count(fam: VectorFamily, sigma: Permutation) -> int:
     p = fam.params
     if sigma.n != p.n:
         raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={p.n}")
-    return _count(_bit_table(sigma.image, p.n), _member_getters(p), _family_codes(fam))
+    codes = frozenset(map(vector_code, fam))
+    return _count(_bit_table(sigma.image, p.n), _member_getters(p), codes)
 
 
 def lemma3_sweep(
@@ -166,7 +161,7 @@ def lemma3_sweep(
         raise InvalidParams(f"sample count must be >= 0, got {samples}")
     p = fam.params
     getters = _member_getters(p)
-    codes = _family_codes(fam)
+    codes = frozenset(map(vector_code, fam))
     hist: dict[int, int] = {}
     if exhaustive:
         if p.n > _EXHAUSTIVE_CAP:

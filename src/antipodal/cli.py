@@ -325,6 +325,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.nmax < 2 or args.kmax < 1:
+        raise InvalidParams(f"table needs NMAX >= 2 and KMAX >= 1, got NMAX={args.nmax}, KMAX={args.kmax}")
     rows = []
     for n in range(2, args.nmax + 1):
         for k in range(1, args.kmax + 1):

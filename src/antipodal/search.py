@@ -52,11 +52,13 @@ from .errors import InvalidParams, TooLarge
 from .vectors import (
     Params,
     VectorFamily,
-    antipodal_neighbors,
+    antipodal_degree,
     cardinality_v,
     enumerate_v,
     find_antipodal_pair,
     parse_vector,
+    partner_codes,
+    vector_code,
 )
 
 __all__ = [
@@ -370,19 +372,29 @@ def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResul
 
 
 def antipodality_graph(p: Params, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """V(n, k, l) with an edge per antipodal pair; vertices in canonical order."""
+    """V(n, k, l) with an edge per antipodal pair; vertices in canonical order.
+
+    Every vertex must end with exactly antipodal_degree(p) neighbours;
+    a mismatch raises RuntimeError.
+    """
     size = cardinality_v(p)
     if size > max_vertices:
         raise TooLarge(f"|V|={size} exceeds the vertex cap {max_vertices}")
     fam = enumerate_v(p)
-    index = {v: i for i, v in enumerate(fam)}
-    adj = [0] * size
-    for i, v in enumerate(fam):
-        for w in antipodal_neighbors(v, p):
-            j = index[w]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(labels=fam.strings(), adj=tuple(adj))
+    labels = fam.strings()
+    codes = [vector_code(v) for v in fam]
+    index = {c: i for i, c in enumerate(codes)}
+    adj = []
+    for code in codes:
+        mask = 0
+        for c in partner_codes(code, p):
+            mask |= 1 << index[c]
+        adj.append(mask)
+    degree = antipodal_degree(p)
+    for label, mask in zip(labels, adj):
+        if mask.bit_count() != degree:
+            raise RuntimeError(f"vertex {label} has {mask.bit_count()} antipodal neighbours, expected {degree}")
+    return Graph(labels=labels, adj=tuple(adj))
 
 
 def disjointness_graph(sets: Iterable[Iterable[int]]) -> Graph:

@@ -12,6 +12,15 @@ attaining -2l are called *antipodal*.  Equivalently (see is_antipodal)
 the minus set of each vector sits inside the plus set of the other while
 the two plus sets are disjoint.  Families avoiding antipodal pairs are
 the central objects of this toolkit.
+
+Hot loops work on one integer code per vector (vector_code):
+plus_mask | minus_mask << n, where bit i - 1 of each mask stands for
+coordinate i.  The antipodal partners of a code are generated as codes
+by partner_codes: the partner's minus set takes l of the vector's plus
+bits, its plus set is the vector's minus bits plus k - l of its zero
+bits.  find_antipodal_pair tests these codes against the family's set of
+codes and decodes a SignedVector only for the pair it returns;
+antipodal_neighbors decodes every partner, in the same order.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ __all__ = [
     "antipodal_neighbors",
     "antipodal_degree",
     "find_antipodal_pair",
+    "vector_code",
+    "partner_codes",
 ]
 
 
@@ -259,6 +270,48 @@ def cardinality_v(p: Params) -> int:
     return by_placement
 
 
+def vector_code(v: SignedVector) -> int:
+    """The integer plus_mask | minus_mask << n of v, bit i - 1 of each
+    mask standing for coordinate i."""
+    code = 0
+    for i in v.plus:
+        code |= 1 << (i - 1)
+    for i in v.minus:
+        code |= 1 << (v.n + i - 1)
+    return code
+
+
+def _mask_indices(mask: int) -> frozenset[int]:
+    """The 1-based coordinates of the set bits of mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return frozenset(out)
+
+
+def _decode(code: int, n: int) -> SignedVector:
+    """Inverse of vector_code."""
+    return SignedVector(n, _mask_indices(code & ((1 << n) - 1)), _mask_indices(code >> n))
+
+
+def partner_codes(code: int, p: Params) -> Iterator[int]:
+    """Codes of the antipodal partners of the member v of V(n, k, l) with
+    this code (unchecked), in the order of antipodal_neighbors: the
+    partner's minus set runs lexicographically over the l-subsets of
+    plus(v), and for each its fresh plus positions over the
+    (k - l)-subsets of the zeros of v."""
+    n = p.n
+    full = (1 << n) - 1
+    plus, minus = code & full, code >> n
+    plus_bits = [1 << i for i in range(n) if plus >> i & 1]
+    zero_bits = [1 << i for i in range(n) if not (plus | minus) >> i & 1]
+    new_minus = [sum(c) << n for c in combinations(plus_bits, p.l)]
+    new_plus = [minus | sum(c) for c in combinations(zero_bits, p.k - p.l)]
+    return (m | q for m in new_minus for q in new_plus)
+
+
 def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     """All w in V(n, k, l) antipodal to v, in deterministic order.
 
@@ -270,22 +323,19 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     The brute-force cross-check lives in the test suite.
     """
     _check_conforms(v, p)
-    zeros = sorted(set(range(1, p.n + 1)) - v.plus - v.minus)
-    plus_sorted = sorted(v.plus)
-    out = []
-    for new_minus in combinations(plus_sorted, p.l):
-        for extra_plus in combinations(zeros, p.k - p.l):
-            out.append(SignedVector(p.n, v.minus | frozenset(extra_plus), frozenset(new_minus)))
-    return out
+    return [_decode(c, p.n) for c in partner_codes(vector_code(v), p)]
 
 
 def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
     """The first antipodal pair (v, w) of the family in member order, or
     None if the family is antipodal-free."""
-    for v in fam:
-        for w in antipodal_neighbors(v, fam.params):
-            if w in fam:
-                return v, w
+    p = fam.params
+    codes = [vector_code(v) for v in fam]
+    present = frozenset(codes)
+    for v, code in zip(fam, codes):
+        for c in partner_codes(code, p):
+            if c in present:
+                return v, _decode(c, p.n)
     return None
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes quantities by routes the library never
 takes: full 3^n sign-pattern scans instead of combination generators,
 numpy Gram matrices instead of set intersections, and a plain
-include/exclude recursion instead of the production solver.  Slow on
-purpose; keep the inputs tiny.
+include/exclude recursion instead of the production solver, and
+antipodal partners rebuilt as frozenset-backed SignedVectors instead of
+integer vector codes.  Slow on purpose; keep the inputs tiny.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from antipodal import SignedVector
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -37,6 +40,28 @@ def gram(strings: list[str]) -> np.ndarray:
 def antipodal_pair_counts(strings: list[str], l: int) -> np.ndarray:
     """Per-vector count of partners at scalar product -2l."""
     return (gram(strings) == -2 * l).sum(axis=1)
+
+
+def brute_antipodal_neighbors(v, p) -> list:
+    """Antipodal partners of v as SignedVectors, in the library's order:
+    minus sets over the l-subsets of plus(v), then plus sets as minus(v)
+    plus (k - l)-subsets of the zeros of v, both lexicographic."""
+    zeros = sorted(set(range(1, p.n + 1)) - v.plus - v.minus)
+    return [
+        SignedVector(p.n, v.minus | frozenset(extra_plus), frozenset(new_minus))
+        for new_minus in itertools.combinations(sorted(v.plus), p.l)
+        for extra_plus in itertools.combinations(zeros, p.k - p.l)
+    ]
+
+
+def brute_find_antipodal_pair(fam):
+    """The first (v, w) in member order with w a partner of v in fam, by
+    hashing SignedVectors into the family."""
+    for v in fam:
+        for w in brute_antipodal_neighbors(v, fam.params):
+            if w in fam:
+                return v, w
+    return None
 
 
 def brute_max_independent(adj_lists: list[list[int]]) -> int:

@@ -346,6 +346,14 @@ def test_table_runs(capsys):
     assert "=thm2" in lines[0]
 
 
+@pytest.mark.parametrize("nmax,kmax", [("1", "2"), ("4", "0"), ("-3", "-1")])
+def test_table_empty_range_exit_two(capsys, nmax, kmax):
+    code, out, err = run(capsys, "table", nmax, kmax)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "4", "2", "--budget", "5", "--json")
     assert code == 0

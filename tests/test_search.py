@@ -230,9 +230,17 @@ def test_witness_check_survives_python_O():
             print("RuntimeError:", exc)
         # A closed form that disagrees with the enumeration.
         from antipodal import vectors
+        closed_form = vectors.cardinality_v
         vectors.cardinality_v = lambda p: 0
         try:
             vectors.enumerate_v(vectors.Params(4, 2, 1))
+        except RuntimeError as exc:
+            print("RuntimeError:", exc)
+        vectors.cardinality_v = closed_form
+        # A degree formula that disagrees with the graph build.
+        search.antipodal_degree = lambda p: 3
+        try:
+            search.antipodality_graph(vectors.Params(4, 2, 1))
         except RuntimeError as exc:
             print("RuntimeError:", exc)
         """
@@ -245,8 +253,9 @@ def test_witness_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert all(line.startswith("RuntimeError:") for line in lines)
+    assert "antipodal neighbours, expected 3" in lines[2]
 
 
 # ---------------------------------------------------------------- extremal values

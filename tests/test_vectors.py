@@ -18,16 +18,24 @@ from antipodal import (
     VectorFamily,
     antipodal_degree,
     antipodal_neighbors,
+    antipodality_graph,
     cardinality_v,
     choose,
     enumerate_v,
+    find_antipodal_pair,
     format_vector,
     is_antipodal,
     make_vector,
     parse_vector,
     scalar_product,
 )
-from _brute import antipodal_pair_counts, brute_vector_strings, gram
+from _brute import (
+    antipodal_pair_counts,
+    brute_antipodal_neighbors,
+    brute_find_antipodal_pair,
+    brute_vector_strings,
+    gram,
+)
 
 VALID_PARAMS = [
     (n, k, l)
@@ -38,6 +46,15 @@ VALID_PARAMS = [
 ]
 
 params_st = st.sampled_from(VALID_PARAMS)
+
+# n <= 8, the window k + l <= n < 2k (no antipodal pair) included.
+PARAMS_TO_8 = [
+    (n, k, l)
+    for n in range(2, 9)
+    for k in range(1, n)
+    for l in range(1, k + 1)
+    if k + l <= n
+]
 
 
 # ---------------------------------------------------------------- params
@@ -168,6 +185,41 @@ def test_neighbors_complete_and_symmetric(p, data):
     assert v not in nbrs
     for w in nbrs:
         assert is_antipodal(w, v, park)
+
+
+@given(params_st, st.data())
+@settings(max_examples=40, deadline=None)
+def test_neighbors_match_frozenset_oracle_in_order(p, data):
+    park = Params(*p)
+    v = data.draw(st.sampled_from(list(enumerate_v(park))))
+    assert antipodal_neighbors(v, park) == brute_antipodal_neighbors(v, park)
+
+
+@given(st.sampled_from(PARAMS_TO_8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_find_antipodal_pair_matches_oracle(p, data):
+    members = list(enumerate_v(Params(*p)))
+    order = data.draw(st.permutations(range(len(members))))
+    size = data.draw(st.integers(0, len(members)))
+    fam = VectorFamily(Params(*p), [members[i] for i in order[:size]])
+    assert find_antipodal_pair(fam) == brute_find_antipodal_pair(fam)
+
+
+def test_antipodality_graph_matches_pairwise_scan():
+    for n, k, l in PARAMS_TO_8:
+        p = Params(n, k, l)
+        if cardinality_v(p) > 600:
+            continue
+        members = list(enumerate_v(p))
+        g = antipodality_graph(p)
+        assert g.labels == tuple(format_vector(v) for v in members)
+        adj = [0] * len(members)
+        for i, v in enumerate(members):
+            for j in range(i + 1, len(members)):
+                if is_antipodal(v, members[j], p):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        assert g.adj == tuple(adj), (n, k, l)
 
 
 # ---------------------------------------------------------------- enumeration
