@@ -98,7 +98,6 @@ from .vectors import (
     parse_vector,
     partner_codes,
     scalar_product,
-    vector_code,
 )
 
 __version__ = "0.1.0"

@@ -26,9 +26,9 @@ rotated by one place.  The n permutations sigma rho^t therefore share
 one count, and exactly one of them sends 1 to 1.  The sweep checks the
 rotation invariance of H before it relies on it.  Every mode counts
 with one bitmask kernel and runs in-process.  F enters the kernel as
-the set of its vector codes (vectors.vector_code), and a member of
-H(sigma) is counted when the code summed from sigma's bit table lies in
-that set.
+its set of vector codes (VectorFamily.codes), and a member of H(sigma)
+is counted when the code summed from sigma's bit table lies in that
+set.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .constructions import Permutation, apply_permutation, circle_family
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
 from .search import disjointness_graph, max_independent_set
 from .theorem1 import Violation, antipodal_free_precheck
-from .vectors import Params, VectorFamily, vector_code
+from .vectors import Params, VectorFamily
 
 __all__ = [
     "CircleReport",
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_CAP = 8
+_DELTA = 1e-9  # false-violation probability of double_count_check's sampled band
 
 
 @dataclass
@@ -108,12 +109,9 @@ class CircleReport:
 
 
 def _member_getters(p: Params) -> list[itemgetter]:
-    """Per member of H, an itemgetter of its plus then minus entries in a
-    bit table (see _bit_table)."""
-    return [
-        itemgetter(*(i - 1 for i in sorted(v.plus)), *(p.n + i - 1 for i in sorted(v.minus)))
-        for v in circle_family(p)
-    ]
+    """Per member of H, an itemgetter of the entries of a bit table (see
+    _bit_table) at the set bits of its code: its plus then minus entries."""
+    return [itemgetter(*(j for j in range(2 * p.n) if v.code >> j & 1)) for v in circle_family(p)]
 
 
 def _bit_table(image, n: int) -> list[int]:
@@ -134,8 +132,7 @@ def lemma3_count(fam: VectorFamily, sigma: Permutation) -> int:
     p = fam.params
     if sigma.n != p.n:
         raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={p.n}")
-    codes = frozenset(map(vector_code, fam))
-    return _count(_bit_table(sigma.image, p.n), _member_getters(p), codes)
+    return _count(_bit_table(sigma.image, p.n), _member_getters(p), fam.codes)
 
 
 def lemma3_sweep(
@@ -144,7 +141,6 @@ def lemma3_sweep(
     exhaustive: bool = False,
     samples: int = 1000,
     seed: int = 0,
-    workers: int = 1,
 ) -> CircleReport:
     """Histogram of |H(sigma) cap F| over permutations.
 
@@ -152,23 +148,19 @@ def lemma3_sweep(
     Exhaustive mode covers all n! permutations (TooLarge for n > 8) by
     evaluating the (n-1)! with sigma(1) = 1, each with weight n; sampled
     mode draws `samples` (>= 0) permutations from random.Random(seed) and
-    always adds the identity.  Both run in-process: `workers` must be
-    >= 1 and has no effect at the capped sizes.
+    always adds the identity.
     """
-    if workers < 1:
-        raise InvalidParams(f"worker count must be >= 1, got {workers}")
     if samples < 0:
         raise InvalidParams(f"sample count must be >= 0, got {samples}")
     p = fam.params
     getters = _member_getters(p)
-    codes = frozenset(map(vector_code, fam))
     hist: dict[int, int] = {}
     if exhaustive:
         if p.n > _EXHAUSTIVE_CAP:
             raise TooLarge(f"exhaustive sweep capped at n <= {_EXHAUSTIVE_CAP}, got n={p.n}")
         # The coset quotient below is exact only if rotation maps H onto itself.
         h = circle_family(p)
-        if frozenset(apply_permutation(h, Permutation((*range(2, p.n + 1), 1)))) != frozenset(h):
+        if apply_permutation(h, Permutation((*range(2, p.n + 1), 1))).codes != h.codes:
             raise RuntimeError(f"circle family at {(p.n, p.k, p.l)} is not rotation-invariant")
         # Bit tables of the permutations fixing 1: the plus and minus halves
         # run through the same order of images of 2..n in lockstep.
@@ -176,7 +168,7 @@ def lemma3_sweep(
         minus_bits = [b << p.n for b in plus_bits]
         plus_head, minus_head = (1,), (1 << p.n,)
         for plus_tail, minus_tail in zip(_iter_permutations(plus_bits), _iter_permutations(minus_bits)):
-            c = _count(plus_head + plus_tail + minus_head + minus_tail, getters, codes)
+            c = _count(plus_head + plus_tail + minus_head + minus_tail, getters, fam.codes)
             hist[c] = hist.get(c, 0) + p.n
         checked = math.factorial(p.n)
         mode = "exhaustive"
@@ -188,7 +180,7 @@ def lemma3_sweep(
         for step in range(checked):
             if step:  # the identity first, then successive shuffles
                 rng.shuffle(image)
-            c = _count(_bit_table(image, p.n), getters, codes)
+            c = _count(_bit_table(image, p.n), getters, fam.codes)
             hist[c] = hist.get(c, 0) + 1
         mode = "sample"
         used_seed = seed
@@ -222,17 +214,24 @@ def double_count_check(
     exhaustive: bool = False,
     samples: int = 1000,
     seed: int = 0,
-    workers: int = 1,
 ) -> CircleReport:
     """Check the double-counting identity for an arbitrary subfamily.
 
     Exhaustive mode compares sum_sigma |H(sigma) cap F| with
     |F| n k! l! (n-k-l)! exactly and records a violation on mismatch.
-    Sampled mode compares the empirical mean against the exact mean with
-    a five-standard-error tolerance band (reported, not asserted).
+
+    Sampled mode compares the mean count with the exact mean mu =
+    |F| n k! l! (n-k-l)! / n! inside a Hoeffding band.  Each of the m =
+    `samples` drawn sigma is uniform on S_n and its count lies in
+    [0, R], R = min(n, |F|), so the mean of the draws strays from mu by
+    t = R sqrt(ln(2/delta) / (2m)) or more with probability at most
+    delta = 1e-9.  The identity, counted first, moves the overall mean by
+    at most R / (m + 1) more, so the band is (R + m t) / (m + 1).  A
+    correct count falls outside it with probability at most 1e-9; the
+    band is recorded in the violation.
     """
     p = fam.params
-    report = lemma3_sweep(fam, exhaustive=exhaustive, samples=samples, seed=seed, workers=workers)
+    report = lemma3_sweep(fam, exhaustive=exhaustive, samples=samples, seed=seed)
     report.cap = None
     rhs = (
         len(fam)
@@ -255,20 +254,19 @@ def double_count_check(
             )
     else:
         total = sum(c * m for c, m in report.count_histogram.items())
-        checked = report.sigmas_checked
-        mean = total / checked
+        draws = report.sigmas_checked - 1
+        mean = total / report.sigmas_checked
         expected = rhs / math.factorial(p.n)
-        sq = sum(c * c * m for c, m in report.count_histogram.items())
-        variance = max(sq / checked - mean * mean, 0.0)
-        stderr = math.sqrt(variance / checked)
+        spread = min(p.n, len(fam))
+        band = spread * (1 + math.sqrt(draws * math.log(2 / _DELTA) / 2)) / (draws + 1)
         report.mean_observed = mean
         report.mean_expected = expected
-        if abs(mean - expected) > 5.0 * stderr + 1e-9:
+        if abs(mean - expected) > band + 1e-9:
             report.violations.append(
                 Violation(
                     "double-count-sample",
-                    "sampled mean strayed outside five standard errors",
-                    {"mean": mean, "expected": expected, "stderr": stderr},
+                    "sampled mean strayed outside the Hoeffding band",
+                    {"mean": mean, "expected": expected, "band": band},
                 )
             )
     return report

@@ -6,15 +6,14 @@ errors (malformed or unreadable family files included).  Every
 subcommand is deterministic given its seed flag; output never includes
 wall-clock readings, so identical invocations produce byte-identical
 output.  Everything runs in-process, the exhaustive sweeps included:
---threads (or the ANTIPODAL_THREADS environment variable) is accepted
-and validated (>= 1) but has no effect at the capped sweep sizes.
+--threads is accepted and validated (>= 1) by the sweep commands but
+has no effect at the capped sweep sizes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bounds import bound_table
@@ -41,9 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker cap, >= 1; sweeps run in-process, so it has no effect "
-        "(default: ANTIPODAL_THREADS or 1)",
+        default=1,
+        help="worker cap, >= 1; sweeps run in-process, so it has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -140,18 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        workers = args.threads
-    else:
-        raw = os.environ.get("ANTIPODAL_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise InvalidParams(f"ANTIPODAL_THREADS={raw!r} is not an integer") from exc
-    if workers < 1:
-        raise InvalidParams(f"thread count must be >= 1, got {workers}")
-    return workers
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise InvalidParams(f"thread count must be >= 1, got {args.threads}")
 
 
 def _emit_family(fam, args) -> int:
@@ -186,7 +175,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_prop1(args) -> int:
-    report = verify_prop1_exhaustive(args.m, args.a, args.b, workers=_threads(args))
+    _check_threads(args)
+    report = verify_prop1_exhaustive(args.m, args.a, args.b)
     print(f"caps: |A| <= {report.cap_a} or |B| <= {report.cap_b}")
     print(f"maximal pairs examined: {report.pairs_examined}")
     print(f"counterexamples: {report.counterexamples}")
@@ -234,13 +224,8 @@ def _cmd_lemma3(args) -> int:
     fam = load_family(args.family) if args.family else example2(p)
     if fam.params != p:
         raise InvalidParams(f"family file has params {fam.params}, expected {p}")
-    report = lemma3_sweep(
-        fam,
-        exhaustive=args.exhaustive,
-        samples=args.samples,
-        seed=args.seed,
-        workers=_threads(args),
-    )
+    _check_threads(args)
+    report = lemma3_sweep(fam, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
     print(f"permutations checked: {report.sigmas_checked} ({report.mode})")
     print(f"max |H(sigma) cap F|: {report.max_observed} (cap {p.k})")
     if report.max_observed > p.k:
@@ -255,13 +240,8 @@ def _cmd_double_count(args) -> int:
     fam = load_family(args.family) if args.family else enumerate_v(p)
     if fam.params != p:
         raise InvalidParams(f"family file has params {fam.params}, expected {p}")
-    report = double_count_check(
-        fam,
-        exhaustive=args.exhaustive,
-        samples=args.samples,
-        seed=args.seed,
-        workers=_threads(args),
-    )
+    _check_threads(args)
+    report = double_count_check(fam, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
     print(f"permutations checked: {report.sigmas_checked} ({report.mode})")
     if args.exhaustive:
         print(f"sum over sigma: {report.identity_lhs}")

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, RegimeError
-from .vectors import Params, SignedVector, VectorFamily, enumerate_v
+from .vectors import Params, VectorFamily, enumerate_v
 
 __all__ = [
     "Permutation",
@@ -60,10 +60,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 
-    def apply_to_set(self, s: frozenset[int]) -> frozenset[int]:
-        img = self.image
-        return frozenset(img[i - 1] for i in s)
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
         if self.n != other.n:
@@ -78,26 +74,28 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
 
 
 def apply_permutation(fam: VectorFamily, sigma: Permutation) -> VectorFamily:
-    """Relabel coordinates of every member; order and size are preserved."""
-    if sigma.n != fam.params.n:
-        raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={fam.params.n}")
-    return VectorFamily(
-        fam.params,
-        (
-            SignedVector(v.n, sigma.apply_to_set(v.plus), sigma.apply_to_set(v.minus))
-            for v in fam
-        ),
-    )
+    """Relabel coordinates of every member; order and size are preserved.
+
+    Bit j of a code moves to bit table[j]: sigma(i) - 1 for the plus bit
+    of coordinate i, n + sigma(i) - 1 for its minus bit.
+    """
+    n = fam.params.n
+    if sigma.n != n:
+        raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={n}")
+    table = [x - 1 for x in sigma.image] + [n + x - 1 for x in sigma.image]
+    codes = (sum(1 << t for j, t in enumerate(table) if v.code >> j & 1) for v in fam)
+    return VectorFamily.from_codes(fam.params, codes)
 
 
 def example1(p: Params) -> VectorFamily:
-    """Vectors of V(n,k,l) whose largest support element lies in the minus set."""
-    return enumerate_v(p).restrict(lambda v: max(v.support) in v.minus)
+    """Vectors of V(n,k,l) whose largest support element lies in the minus
+    set: the minus mask is the larger of the two disjoint masks."""
+    return enumerate_v(p).restrict(lambda v: v.code >> p.n > v.code & ((1 << p.n) - 1))
 
 
 def example2(p: Params) -> VectorFamily:
-    """Vectors of V(n,k,l) whose first coordinate is +1."""
-    return enumerate_v(p).restrict(lambda v: 1 in v.plus)
+    """Vectors of V(n,k,l) whose first coordinate is +1 (bit 0 of the code)."""
+    return enumerate_v(p).restrict(lambda v: v.code & 1)
 
 
 def _mod1(x: int, n: int) -> int:
@@ -113,12 +111,14 @@ def circle_family(p: Params) -> VectorFamily:
     """
     if p.n < 2 * p.k:
         raise RegimeError(f"circle family needs n >= 2k, got n={p.n}, k={p.k}")
-    members = []
-    for i in range(1, p.n + 1):
-        plus = frozenset(_mod1(i + t, p.n) for t in range(p.k))
-        minus = frozenset(_mod1(i - p.k + t, p.n) for t in range(p.l))
-        members.append(SignedVector(p.n, plus, minus))
-    fam = VectorFamily(p, members)
+    fam = VectorFamily.from_codes(
+        p,
+        (
+            sum(1 << (_mod1(i + t, p.n) - 1) for t in range(p.k))
+            | sum(1 << (p.n + _mod1(i - p.k + t, p.n) - 1) for t in range(p.l))
+            for i in range(1, p.n + 1)
+        ),
+    )
     if len(fam) != p.n:
         raise RuntimeError(f"circle family has {len(fam)} distinct members, expected n={p.n}")
     return fam

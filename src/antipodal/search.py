@@ -58,7 +58,6 @@ from .vectors import (
     find_antipodal_pair,
     parse_vector,
     partner_codes,
-    vector_code,
 )
 
 __all__ = [
@@ -382,7 +381,7 @@ def antipodality_graph(p: Params, max_vertices: int = DEFAULT_VERTEX_CAP) -> Gra
         raise TooLarge(f"|V|={size} exceeds the vertex cap {max_vertices}")
     fam = enumerate_v(p)
     labels = fam.strings()
-    codes = [vector_code(v) for v in fam]
+    codes = [v.code for v in fam]
     index = {c: i for i, c in enumerate(codes)}
     adj = []
     for code in codes:

@@ -142,15 +142,12 @@ class Prop1Report:
         return self.counterexamples == 0
 
 
-def verify_prop1_exhaustive(m: int, a: int, b: int, workers: int = 1) -> Prop1Report:
+def verify_prop1_exhaustive(m: int, a: int, b: int) -> Prop1Report:
     """Complete sweep of all cross-intersecting pairs at (m, a, b).
 
-    Feasibility caps: C(m, a) <= 12 and C(m, b) <= 12 (TooLarge beyond).
-    The sweep runs in-process: `workers` must be >= 1 and has no effect
-    at the capped sizes, where a whole sweep takes about a millisecond.
+    Feasibility caps: C(m, a) <= 12 and C(m, b) <= 12 (TooLarge beyond);
+    at those sizes a whole sweep takes about a millisecond.
     """
-    if workers < 1:
-        raise InvalidParams(f"worker count must be >= 1, got {workers}")
     if a < 1 or b < 1:
         raise PreconditionError(f"need a, b >= 1, got a={a}, b={b}")
     if m < a + b:

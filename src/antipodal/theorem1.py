@@ -25,6 +25,13 @@ behind theorem1_bound:
 
 Violations discovered at any stage are collected in the report, never
 raised; an empty violation list certifies every inequality above.
+
+Stages 1 and 2 read the slices from one builder (_slices) that works on
+vector codes: it visits each member once and files it under every
+l-subset A of its plus mask, with B its minus mask, so all slices cost
+|F| C(k, l) steps.  lemma1_check then pairs F(A, B) with F(B, A): two
+filed members fold into disjoint (C, D) exactly when their codes share
+no bit, i.e. when they are an antipodal pair.
 """
 
 from __future__ import annotations
@@ -131,68 +138,70 @@ def _check_pair(p: Params, a: frozenset[int], b: frozenset[int]) -> None:
             raise RangeError(f"index {i} outside [1..{p.n}]")
 
 
-def _by_minus(fam: VectorFamily) -> dict[frozenset[int], list[SignedVector]]:
-    out: dict[frozenset[int], list[SignedVector]] = {}
+def _slices(fam: VectorFamily) -> dict[tuple[int, int], list[SignedVector]]:
+    """The members behind every nonempty slice F(A, B), in member order,
+    keyed by the bitmasks (A, B)."""
+    p = fam.params
+    full = (1 << p.n) - 1
+    out: dict[tuple[int, int], list[SignedVector]] = {}
     for v in fam:
-        out.setdefault(v.minus, []).append(v)
+        plus = v.code & full
+        bits = [1 << i for i in range(p.n) if plus >> i & 1]
+        for a in combinations(bits, p.l):
+            out.setdefault((sum(a), v.code >> p.n), []).append(v)
     return out
+
+
+def _ordered_pairs(p: Params):
+    """All ordered pairs of disjoint l-sets, lexicographic on (A, B): each
+    as its two index tuples and its two bitmasks."""
+    bits = [1 << i for i in range(p.n)]
+    index_tuples = {sum(c): tuple(x.bit_length() for x in c) for c in combinations(bits, p.l)}
+    for a_mask, a in index_tuples.items():
+        for b_bits in combinations([x for x in bits if not x & a_mask], p.l):
+            b_mask = sum(b_bits)
+            yield a, index_tuples[b_mask], a_mask, b_mask
 
 
 def subfamily(fam: VectorFamily, a: Iterable[int], b: Iterable[int]) -> SetFamily:
     """The slice F(A, B): plus remainders of members with minus set B and
     plus set containing A, as a (k-l)-uniform family over [1..n]."""
     p = fam.params
-    a = frozenset(a)
-    b = frozenset(b)
+    a, b = frozenset(a), frozenset(b)
     _check_pair(p, a, b)
-    members = [v.plus - a for v in fam if v.minus == b and a <= v.plus]
-    return SetFamily(p.n, p.k - p.l, members)
-
-
-def _ordered_pairs(p: Params):
-    """All ordered pairs of disjoint l-sets, lexicographic on (A, B)."""
-    idx = range(1, p.n + 1)
-    for a in combinations(idx, p.l):
-        a_set = frozenset(a)
-        rest = [i for i in idx if i not in a_set]
-        for b in combinations(rest, p.l):
-            yield a, a_set, b, frozenset(b)
+    key = (sum(1 << (i - 1) for i in a), sum(1 << (i - 1) for i in b))
+    return SetFamily(p.n, p.k - p.l, [v.plus - a for v in _slices(fam).get(key, ())])
 
 
 def lemma1_check(fam: VectorFamily) -> TraceReport:
     """Cross-intersection of F(A, B) and F(B, A) for every disjoint l-pair.
 
-    A violating pair of slice members (C, D) with C cap D empty is folded
-    back into the antipodal vector pair (A cup C minus B, B cup D minus A)
-    and reported.  Antipodal-free input therefore yields no violations.
+    A violating pair of slice members (C, D) with C cap D empty comes from
+    the antipodal vector pair (A cup C minus B, B cup D minus A), which is
+    reported.  Antipodal-free input therefore yields no violations.
     """
     p = fam.params
     report = TraceReport(family_size=len(fam), threshold=choose(p.n - 2 * p.l - 1, p.k - p.l - 1))
-    by_minus = _by_minus(fam)
-    seen: set[frozenset[frozenset[int]]] = set()
-    for a, a_set, b, b_set in _ordered_pairs(p):
-        key = frozenset((a_set, b_set))
-        if key in seen:
+    slices = _slices(fam)
+    for a, b, a_mask, b_mask in _ordered_pairs(p):
+        if b < a:  # the unordered pair was handled at (b, a)
             continue
-        seen.add(key)
-        slice_ab = [v.plus - a_set for v in by_minus.get(b_set, ()) if a_set <= v.plus]
-        slice_ba = [v.plus - b_set for v in by_minus.get(a_set, ()) if b_set <= v.plus]
+        slice_ab = slices.get((a_mask, b_mask), ())
+        slice_ba = slices.get((b_mask, a_mask), ())
         report.pair_counts[(a, b)] = len(slice_ab)
         report.pair_counts[(b, a)] = len(slice_ba)
-        for c in slice_ab:
-            for d in slice_ba:
-                if not (c & d):
-                    v = SignedVector(p.n, a_set | c, b_set)
-                    w = SignedVector(p.n, b_set | d, a_set)
+        for v in slice_ab:
+            for w in slice_ba:
+                if not v.code & w.code:
                     report.violations.append(
                         Violation(
                             "lemma1",
                             "slices are not cross-intersecting",
                             {
-                                "A": sorted(a_set),
-                                "B": sorted(b_set),
-                                "C": sorted(c),
-                                "D": sorted(d),
+                                "A": list(a),
+                                "B": list(b),
+                                "C": sorted(v.plus.difference(a)),
+                                "D": sorted(w.plus.difference(b)),
                                 "antipodal_pair": [format_vector(v), format_vector(w)],
                             },
                         )
@@ -209,17 +218,17 @@ def deletion_procedure(fam: VectorFamily) -> tuple[VectorFamily, TraceReport]:
     p = fam.params
     threshold = choose(p.n - 2 * p.l - 1, p.k - p.l - 1)
     report = TraceReport(family_size=len(fam), threshold=threshold)
-    by_minus = _by_minus(fam)
-    doomed: set[SignedVector] = set()
-    for a, a_set, b, b_set in _ordered_pairs(p):
-        indexed = [v for v in by_minus.get(b_set, ()) if a_set <= v.plus]
+    slices = _slices(fam)
+    doomed: set[int] = set()
+    for a, b, a_mask, b_mask in _ordered_pairs(p):
+        indexed = slices.get((a_mask, b_mask), ())
         report.pair_counts[(a, b)] = len(indexed)
         if len(indexed) <= threshold:
-            fresh = [v for v in indexed if v not in doomed]
+            fresh = [v.code for v in indexed if v.code not in doomed]
             report.deletions[(a, b)] = len(fresh)
             doomed.update(fresh)
-    survivors = VectorFamily(p, (v for v in fam if v not in doomed))
-    report.deleted = tuple(format_vector(v) for v in fam if v in doomed)
+    survivors = VectorFamily(p, (v for v in fam if v.code not in doomed))
+    report.deleted = tuple(format_vector(v) for v in fam if v.code in doomed)
     report.survivor_size = len(survivors)
     report.accounting_lower_bound = len(fam) - choose(p.n, 2 * p.l) * choose(2 * p.l, p.l) * threshold
     if report.survivor_size != report.family_size - sum(report.deletions.values()):
@@ -244,7 +253,8 @@ def family_b(fam: VectorFamily, t: Iterable[int]) -> SetFamily:
     for i in t:
         if not 1 <= i <= p.n:
             raise RangeError(f"index {i} outside [1..{p.n}]")
-    return SetFamily(p.n, p.l, (v.minus for v in fam if v.support == t))
+    t_mask, full = sum(1 << (i - 1) for i in t), (1 << p.n) - 1
+    return SetFamily(p.n, p.l, [v.minus for v in fam if (v.code | v.code >> p.n) & full == t_mask])
 
 
 def lemma2_check(fam: VectorFamily) -> TraceReport:
@@ -258,12 +268,12 @@ def lemma2_check(fam: VectorFamily) -> TraceReport:
     p = fam.params
     survivors, report = deletion_procedure(fam)
     cap = choose(p.k + p.l - 1, p.l - 1)
-    by_support: dict[frozenset[int], list[frozenset[int]]] = {}
-    for v in survivors:
-        by_support.setdefault(v.support, []).append(v.minus)
-    for support in sorted(by_support, key=sorted):
-        bt = SetFamily(p.n, p.l, by_support[support])
-        t_key = tuple(sorted(support))
+    by_support: dict[int, list[SignedVector]] = {}
+    for v in survivors:  # keyed by support mask
+        by_support.setdefault((v.code | v.code >> p.n) & ((1 << p.n) - 1), []).append(v)
+    groups = sorted((tuple(sorted(g[0].support)), g) for g in by_support.values())
+    for t_key, group in groups:
+        bt = SetFamily(p.n, p.l, [v.minus for v in group])
         report.family_b_sizes[t_key] = len(bt)
         if not is_intersecting(bt):
             report.violations.append(

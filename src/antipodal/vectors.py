@@ -1,7 +1,7 @@
 """Signed vectors with a fixed number of +1 and -1 entries.
 
 A vector of length n over {-1, 0, +1} with exactly k entries equal to +1
-and l entries equal to -1 is stored as the pair of disjoint index sets
+and l entries equal to -1 is given by the pair of disjoint index sets
 carrying the nonzero entries.  Indices are 1-based, so the coordinate set
 is [n] = {1, ..., n}.  V(n, k, l) denotes the collection of all such
 vectors; its size is C(n,k) * C(n-k,l) = C(n,k+l) * C(k+l,l).
@@ -13,13 +13,21 @@ the minus set of each vector sits inside the plus set of the other while
 the two plus sets are disjoint.  Families avoiding antipodal pairs are
 the central objects of this toolkit.
 
-Hot loops work on one integer code per vector (vector_code):
+A SignedVector stores only its dimension n and one integer code,
 plus_mask | minus_mask << n, where bit i - 1 of each mask stands for
-coordinate i.  The antipodal partners of a code are generated as codes
-by partner_codes: the partner's minus set takes l of the vector's plus
+coordinate i (SignedVector.code).  Everything works on that code:
+parsing, formatting, the scalar product and the antipodality test are
+mask operations, and the index-set views plus, minus and support are
+frozensets decoded from it on demand.  _decode is the one way to make a
+vector from a code; other modules build families from codes with
+VectorFamily.from_codes.  A VectorFamily indexes its members by code
+(VectorFamily.codes).
+
+The antipodal partners of a code are generated as codes by
+partner_codes: the partner's minus set takes l of the vector's plus
 bits, its plus set is the vector's minus bits plus k - l of its zero
-bits.  find_antipodal_pair tests these codes against the family's set of
-codes and decodes a SignedVector only for the pair it returns;
+bits.  find_antipodal_pair tests these codes against the family's code
+set and decodes a vector only for the pair it returns;
 antipodal_neighbors decodes every partner, in the same order.
 """
 
@@ -53,7 +61,6 @@ __all__ = [
     "antipodal_neighbors",
     "antipodal_degree",
     "find_antipodal_pair",
-    "vector_code",
     "partner_codes",
 ]
 
@@ -90,91 +97,119 @@ class Params:
         return 2 * self.k <= self.n <= 3 * self.k - self.l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class SignedVector:
-    """Immutable vector over {-1, 0, +1}: dimension plus two index sets."""
+    """Immutable vector over {-1, 0, +1}: its dimension n and its code
+    plus_mask | minus_mask << n (see the module docstring).  Equality
+    and hashing use (n, code); plus, minus and support are decoded on
+    demand."""
 
     n: int
-    plus: frozenset[int]
-    minus: frozenset[int]
+    code: int
 
-    def __post_init__(self) -> None:
-        if self.plus & self.minus:
-            raise OverlapError(f"plus and minus sets overlap in {sorted(self.plus & self.minus)}")
-        for i in self.plus | self.minus:
-            if not (isinstance(i, int) and 1 <= i <= self.n):
-                raise RangeError(f"index {i!r} outside [1..{self.n}]")
+    def __init__(self, n: int, plus: Iterable[int], minus: Iterable[int]):
+        plus, minus = frozenset(plus), frozenset(minus)
+        if plus & minus:
+            raise OverlapError(f"plus and minus sets overlap in {sorted(plus & minus)}")
+        code = 0
+        for shift, indices in ((0, plus), (n, minus)):
+            for i in indices:
+                if not (isinstance(i, int) and 1 <= i <= n):
+                    raise RangeError(f"index {i!r} outside [1..{n}]")
+                code |= 1 << (shift + i - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "code", code)
+
+    @property
+    def plus(self) -> frozenset[int]:
+        return _mask_indices(_masks(self)[0])
+
+    @property
+    def minus(self) -> frozenset[int]:
+        return _mask_indices(_masks(self)[1])
 
     @property
     def support(self) -> frozenset[int]:
-        return self.plus | self.minus
+        plus, minus = _masks(self)
+        return _mask_indices(plus | minus)
 
     def entry(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise RangeError(f"index {i} outside [1..{self.n}]")
-        if i in self.plus:
-            return 1
-        if i in self.minus:
-            return -1
-        return 0
+        return (self.code >> (i - 1) & 1) - (self.code >> (self.n + i - 1) & 1)
 
     def __str__(self) -> str:
         return format_vector(self)
 
+    def __repr__(self) -> str:
+        return f"SignedVector(n={self.n}, plus={self.plus!r}, minus={self.minus!r})"
+
+
+def _masks(v: SignedVector) -> tuple[int, int]:
+    """(plus_mask, minus_mask) of v."""
+    return v.code & ((1 << v.n) - 1), v.code >> v.n
+
+
+def _mask_indices(mask: int) -> frozenset[int]:
+    """The 1-based coordinates of the set bits of mask."""
+    return frozenset(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
+def _decode(code: int, n: int) -> SignedVector:
+    """The vector with this code (unchecked): the one way to build a
+    vector from a code."""
+    v = object.__new__(SignedVector)
+    object.__setattr__(v, "n", n)
+    object.__setattr__(v, "code", code)
+    return v
+
 
 def make_vector(n: int, plus: Iterable[int], minus: Iterable[int]) -> SignedVector:
     """Build a SignedVector from 1-based index collections."""
-    return SignedVector(n, frozenset(plus), frozenset(minus))
+    return SignedVector(n, plus, minus)
 
 
 def parse_vector(text: str) -> SignedVector:
     """Parse a string over {'+', '-', '0'}, one character per coordinate."""
     if text == "":
         raise EmptyInput("empty vector text")
-    plus, minus = [], []
-    for pos, ch in enumerate(text, start=1):
+    n = len(text)
+    code = 0
+    for pos, ch in enumerate(text):
         if ch == "+":
-            plus.append(pos)
+            code |= 1 << pos
         elif ch == "-":
-            minus.append(pos)
+            code |= 1 << (n + pos)
         elif ch != "0":
-            raise BadCharacter(f"character {ch!r} at position {pos} (want '+', '-' or '0')")
-    return SignedVector(len(text), frozenset(plus), frozenset(minus))
+            raise BadCharacter(f"character {ch!r} at position {pos + 1} (want '+', '-' or '0')")
+    return _decode(code, n)
 
 
 def format_vector(v: SignedVector) -> str:
     """Inverse of parse_vector."""
-    out = []
-    for i in range(1, v.n + 1):
-        if i in v.plus:
-            out.append("+")
-        elif i in v.minus:
-            out.append("-")
-        else:
-            out.append("0")
-    return "".join(out)
+    code, n = v.code, v.n
+    return "".join(["+" if code >> i & 1 else "-" if code >> (n + i) & 1 else "0" for i in range(n)])
 
 
 def scalar_product(v: SignedVector, w: SignedVector) -> int:
-    """Standard scalar product, computed from the four set intersections."""
+    """Standard scalar product: entries of equal sign, counted on the two
+    codes, minus entries of opposite sign, counted against w with its
+    halves swapped."""
     if v.n != w.n:
         raise DimensionMismatch(f"dimensions differ: {v.n} vs {w.n}")
-    return (
-        len(v.plus & w.plus)
-        + len(v.minus & w.minus)
-        - len(v.plus & w.minus)
-        - len(v.minus & w.plus)
-    )
+    w_plus, w_minus = _masks(w)
+    return (v.code & w.code).bit_count() - (v.code & (w_minus | w_plus << w.n)).bit_count()
 
 
 def _check_conforms(v: SignedVector, p: Params) -> None:
     if v.n != p.n:
         raise DimensionMismatch(f"vector has n={v.n}, params have n={p.n}")
-    if len(v.plus) != p.k or len(v.minus) != p.l:
-        raise InvalidParams(
-            f"vector has {len(v.plus)} plus / {len(v.minus)} minus entries, "
-            f"params require k={p.k}, l={p.l}"
-        )
+    plus, minus = v.code & ((1 << p.n) - 1), v.code >> p.n
+    if v.code < 0 or plus & minus or minus >> p.n:  # only from_codes can get here
+        raise InvalidParams(f"{v.code!r} is not a vector code at n={p.n}")
+    k, l = plus.bit_count(), minus.bit_count()
+    if k != p.k or l != p.l:
+        raise InvalidParams(f"vector has {k} plus / {l} minus entries, params require k={p.k}, l={p.l}")
 
 
 def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
@@ -189,9 +224,8 @@ def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
     _check_conforms(v, p)
     _check_conforms(w, p)
     by_product = scalar_product(v, w) == -2 * p.l
-    by_containment = (
-        v.minus <= w.plus and w.minus <= v.plus and not (v.plus & w.plus)
-    )
+    (v_plus, v_minus), (w_plus, w_minus) = _masks(v), _masks(w)
+    by_containment = not (v_minus & ~w_plus or w_minus & ~v_plus or v_plus & w_plus)
     if by_product != by_containment:
         raise RuntimeError("antipodality characterizations disagree")
     return by_product
@@ -201,23 +235,30 @@ class VectorFamily:
     """Duplicate-free ordered collection of vectors sharing one Params.
 
     Construction validates that every member conforms to the parameters;
-    duplicates are dropped, keeping the first occurrence.  Membership
-    tests are O(1) via an internal frozenset index.
+    duplicates are dropped, keeping the first occurrence.  The members
+    are indexed by code: `codes` is the frozenset of their codes, which
+    membership tests and the antipodal searches look up.
     """
 
-    __slots__ = ("params", "members", "_index")
+    __slots__ = ("params", "members", "codes")
 
     def __init__(self, params: Params, members: Iterable[SignedVector]):
         kept: list[SignedVector] = []
-        seen: set[SignedVector] = set()
+        seen: set[int] = set()
         for v in members:
             _check_conforms(v, params)
-            if v not in seen:
-                seen.add(v)
+            if v.code not in seen:
+                seen.add(v.code)
                 kept.append(v)
         self.params = params
         self.members: tuple[SignedVector, ...] = tuple(kept)
-        self._index: frozenset[SignedVector] = frozenset(kept)
+        self.codes: frozenset[int] = frozenset(seen)
+
+    @classmethod
+    def from_codes(cls, params: Params, codes: Iterable[int]) -> "VectorFamily":
+        """The family of the vectors with these codes, in order;
+        InvalidParams for an int that is not a code at dimension n."""
+        return cls(params, (_decode(c, params.n) for c in codes))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -226,7 +267,7 @@ class VectorFamily:
         return iter(self.members)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._index
+        return isinstance(v, SignedVector) and v.n == self.params.n and v.code in self.codes
 
     def strings(self) -> tuple[str, ...]:
         return tuple(format_vector(v) for v in self.members)
@@ -248,14 +289,13 @@ def enumerate_v(p: Params) -> VectorFamily:
     remaining indices.  The order is the canonical one used for vertex
     numbering throughout the package.
     """
-    idx = range(1, p.n + 1)
-    members = []
-    for plus in combinations(idx, p.k):
-        plus_set = frozenset(plus)
-        rest = [i for i in idx if i not in plus_set]
-        for minus in combinations(rest, p.l):
-            members.append(SignedVector(p.n, plus_set, frozenset(minus)))
-    fam = VectorFamily(p, members)
+    bits = [1 << i for i in range(p.n)]
+    codes = []
+    for plus in combinations(bits, p.k):
+        plus_mask = sum(plus)
+        for minus in combinations([b << p.n for b in bits if not b & plus_mask], p.l):
+            codes.append(plus_mask | sum(minus))
+    fam = VectorFamily.from_codes(p, codes)
     if len(fam) != cardinality_v(p):
         raise RuntimeError(f"enumerated {len(fam)} vectors, closed form says {cardinality_v(p)}")
     return fam
@@ -268,32 +308,6 @@ def cardinality_v(p: Params) -> int:
     if by_placement != by_support:
         raise RuntimeError(f"|V| by placement ({by_placement}) and by support ({by_support}) disagree")
     return by_placement
-
-
-def vector_code(v: SignedVector) -> int:
-    """The integer plus_mask | minus_mask << n of v, bit i - 1 of each
-    mask standing for coordinate i."""
-    code = 0
-    for i in v.plus:
-        code |= 1 << (i - 1)
-    for i in v.minus:
-        code |= 1 << (v.n + i - 1)
-    return code
-
-
-def _mask_indices(mask: int) -> frozenset[int]:
-    """The 1-based coordinates of the set bits of mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return frozenset(out)
-
-
-def _decode(code: int, n: int) -> SignedVector:
-    """Inverse of vector_code."""
-    return SignedVector(n, _mask_indices(code & ((1 << n) - 1)), _mask_indices(code >> n))
 
 
 def partner_codes(code: int, p: Params) -> Iterator[int]:
@@ -323,18 +337,16 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     The brute-force cross-check lives in the test suite.
     """
     _check_conforms(v, p)
-    return [_decode(c, p.n) for c in partner_codes(vector_code(v), p)]
+    return [_decode(c, p.n) for c in partner_codes(v.code, p)]
 
 
 def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
     """The first antipodal pair (v, w) of the family in member order, or
     None if the family is antipodal-free."""
     p = fam.params
-    codes = [vector_code(v) for v in fam]
-    present = frozenset(codes)
-    for v, code in zip(fam, codes):
-        for c in partner_codes(code, p):
-            if c in present:
+    for v in fam:
+        for c in partner_codes(v.code, p):
+            if c in fam.codes:
                 return v, _decode(c, p.n)
     return None
 

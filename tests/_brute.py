@@ -3,18 +3,21 @@
 Everything here recomputes quantities by routes the library never
 takes: full 3^n sign-pattern scans instead of combination generators,
 numpy Gram matrices instead of set intersections, and a plain
-include/exclude recursion instead of the production solver, and
-antipodal partners rebuilt as frozenset-backed SignedVectors instead of
-integer vector codes.  Slow on purpose; keep the inputs tiny.
+include/exclude recursion instead of the production solver, antipodal
+partners, slices and the deletion trace rebuilt from frozensets instead
+of integer vector codes, and a frozenset-backed reference vector.  Slow
+on purpose; keep the inputs tiny.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from antipodal import SignedVector
+from antipodal import OverlapError, RangeError, SignedVector
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -127,3 +130,141 @@ def brute_circle_histogram(strings, n: int, k: int, l: int, images=None) -> dict
         c = brute_image_count(image, h_pairs, fam_pairs)
         hist[c] = hist.get(c, 0) + 1
     return hist
+
+
+@dataclass(frozen=True)
+class FrozensetVector:
+    """A signed vector stored as its dimension and two index frozensets,
+    with the constructor checks and views of SignedVector."""
+
+    n: int
+    plus: frozenset
+    minus: frozenset
+
+    def __post_init__(self) -> None:
+        if self.plus & self.minus:
+            raise OverlapError(f"plus and minus sets overlap in {sorted(self.plus & self.minus)}")
+        for i in self.plus | self.minus:
+            if not (isinstance(i, int) and 1 <= i <= self.n):
+                raise RangeError(f"index {i!r} outside [1..{self.n}]")
+
+    @property
+    def support(self) -> frozenset:
+        return self.plus | self.minus
+
+    def entry(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise RangeError(f"index {i} outside [1..{self.n}]")
+        return 1 if i in self.plus else -1 if i in self.minus else 0
+
+    def __str__(self) -> str:
+        return "".join("+" if i in self.plus else "-" if i in self.minus else "0" for i in range(1, self.n + 1))
+
+
+def _comb(x: int, y: int) -> int:
+    return math.comb(x, y) if 0 <= y <= x else 0
+
+
+def _ordered_l_pairs(n: int, l: int):
+    """Ordered pairs of disjoint l-sets of [n] as sorted tuples, lexicographic."""
+    for a in itertools.combinations(range(1, n + 1), l):
+        for b in itertools.combinations([i for i in range(1, n + 1) if i not in a], l):
+            yield a, b
+
+
+def _pair_str(a, b) -> str:
+    return ",".join(map(str, a)) + "|" + ",".join(map(str, b))
+
+
+def brute_subfamily(fam, a, b) -> list[frozenset]:
+    """F(A, B) by definition: plus set minus A of every member whose minus
+    set is B and whose plus set contains A, in member order."""
+    a, b = frozenset(a), frozenset(b)
+    return [v.plus - a for v in fam if v.minus == b and a <= v.plus]
+
+
+def brute_family_b(fam, t) -> list[frozenset]:
+    """Minus sets of the members supported exactly on T, in member order."""
+    return [v.minus for v in fam if v.plus | v.minus == frozenset(t)]
+
+
+def _report(fam, **fields) -> dict:
+    p = fam.params
+    out = {
+        "family_size": len(fam),
+        "threshold": _comb(p.n - 2 * p.l - 1, p.k - p.l - 1),
+        "policy": "single pass: thresholds evaluated against the input family, pairs in lex order",
+        "pair_counts": {},
+        "deletions": {},
+        "deleted": [],
+        "survivor_size": 0,
+        "accounting_lower_bound": 0,
+        "family_b_sizes": {},
+        "final_bound": None,
+        "violations": [],
+    }
+    out.update(fields)
+    out["ok"] = not out["violations"]
+    return out
+
+
+def brute_lemma1(fam) -> dict:
+    """lemma1_check(fam).as_dict() by definition: each unordered pair {A, B}
+    once, at the first of (A, B), (B, A) in lex order; a member pair
+    (C, D) of F(A, B) x F(B, A) with C cap D empty is a violation naming
+    the vectors (A cup C, B) and (B cup D, A)."""
+    p = fam.params
+    counts, violations = {}, []
+    for a, b in _ordered_l_pairs(p.n, p.l):
+        if _pair_str(b, a) in counts:
+            continue
+        slice_ab, slice_ba = brute_subfamily(fam, a, b), brute_subfamily(fam, b, a)
+        counts[_pair_str(a, b)] = len(slice_ab)
+        counts[_pair_str(b, a)] = len(slice_ba)
+        for c in slice_ab:
+            for d in slice_ba:
+                if not c & d:
+                    pair = [str(FrozensetVector(p.n, frozenset(a) | c, frozenset(b))),
+                            str(FrozensetVector(p.n, frozenset(b) | d, frozenset(a)))]
+                    violations.append({
+                        "stage": "lemma1",
+                        "message": "slices are not cross-intersecting",
+                        "data": {"A": list(a), "B": list(b), "C": sorted(c), "D": sorted(d),
+                                 "antipodal_pair": pair},
+                    })
+    return _report(fam, pair_counts=counts, violations=violations)
+
+
+def brute_deletion(fam) -> tuple[list[str], dict]:
+    """deletion_procedure(fam) by definition: (survivor strings, trace
+    as_dict()).  Every ordered pair whose slice in the input family has at
+    most the threshold members deletes them; a vector is charged to the
+    first such pair in lex order."""
+    p = fam.params
+    threshold = _comb(p.n - 2 * p.l - 1, p.k - p.l - 1)
+    counts, deletions, doomed = {}, {}, []
+    for a, b in _ordered_l_pairs(p.n, p.l):
+        indexed = [v for v in fam if v.minus == frozenset(b) and frozenset(a) <= v.plus]
+        counts[_pair_str(a, b)] = len(indexed)
+        if len(indexed) <= threshold:
+            fresh = [v for v in indexed if v not in doomed]
+            deletions[_pair_str(a, b)] = len(fresh)
+            doomed += fresh
+    survivors = [str(v) for v in fam if v not in doomed]
+    lower = len(fam) - _comb(p.n, 2 * p.l) * _comb(2 * p.l, p.l) * threshold
+    violations = []
+    if len(survivors) < lower:
+        violations.append({
+            "stage": "accounting",
+            "message": "survivor count fell below the accounting lower bound",
+            "data": {"survivors": len(survivors), "lower_bound": lower},
+        })
+    return survivors, _report(
+        fam,
+        pair_counts=counts,
+        deletions=deletions,
+        deleted=[str(v) for v in fam if v in doomed],
+        survivor_size=len(survivors),
+        accounting_lower_bound=lower,
+        violations=violations,
+    )

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
-    InvalidParams,
     Params,
     Permutation,
     RegimeError,
     TooLarge,
     VectorFamily,
+    antipodal_neighbors,
     circle_family,
     double_count_check,
     enumerate_v,
@@ -26,6 +26,8 @@ from antipodal import (
     theorem2_certify,
 )
 from antipodal import circle
+from antipodal.cli import main
+from antipodal.familyfile import save_family
 from _brute import brute_circle_histogram, brute_circle_pairs, brute_image_count
 
 # Every triple with n <= 7 on which H exists (n >= 2k), plus one at n = 8.
@@ -75,13 +77,6 @@ def test_lemma3_sample_mode_deterministic():
     b = lemma3_sweep(example2(p), samples=200, seed=3)
     assert a.count_histogram == b.count_histogram
     assert a.mode == "sample"
-
-
-def test_lemma3_parallel_matches_serial():
-    p = Params(5, 2, 1)
-    serial = lemma3_sweep(example2(p), exhaustive=True)
-    parallel = lemma3_sweep(example2(p), exhaustive=True, workers=2)
-    assert serial.count_histogram == parallel.count_histogram
 
 
 def _oracle_families(p: Params):
@@ -141,14 +136,6 @@ def test_exhaustive_sweep_checks_rotation_invariance(monkeypatch):
         double_count_check(enumerate_v(p), exhaustive=True)
 
 
-def test_sweeps_validate_workers():
-    p = Params(5, 2, 1)
-    with pytest.raises(InvalidParams):
-        lemma3_sweep(example2(p), exhaustive=True, workers=0)
-    with pytest.raises(InvalidParams):
-        double_count_check(example2(p), workers=-1)
-
-
 def test_lemma3_refuses_huge_exhaustive():
     p = Params(9, 4, 1)
     with pytest.raises(TooLarge):
@@ -202,6 +189,50 @@ def test_double_count_identity_everywhere_small():
             report = double_count_check(fam, exhaustive=True)
             rhs = len(fam) * n * factorial(k) * factorial(l) * factorial(n - k - l)
             assert report.identity_lhs == rhs == report.identity_rhs
+
+
+def _planted_partner_families(p: Params, count: int = 20) -> list[VectorFamily]:
+    """example2(p) with an antipodal partner of a random member inserted at
+    a random place, one family per seed 0..count-1."""
+    base = list(example2(p))
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        members = list(base)
+        partner = rng.choice(antipodal_neighbors(rng.choice(base), p))
+        members.insert(rng.randrange(len(members) + 1), partner)
+        out.append(VectorFamily(p, members))
+    return out
+
+
+@pytest.mark.parametrize("triple", [(10, 2, 2), (10, 3, 2), (9, 3, 3), (9, 4, 2), (9, 4, 3)], ids=str)
+def test_sampled_double_count_on_planted_families(triple, tmp_path):
+    # At 100 samples every sampled sigma can give the same count.  A band
+    # of five empirical standard errors is then 0 wide, and it flagged
+    # 11, 17, 10, 8 and 7 of these 20 families per triple although the
+    # identity holds for every F.  The Hoeffding band flags none.
+    p = Params(*triple)
+    families = _planted_partner_families(p)
+    for fam in families:
+        report = double_count_check(fam, samples=100)
+        assert report.ok, report.violations
+    path = tmp_path / "planted.txt"
+    save_family(families[0], path)
+    argv = ["verify", "double-count", *map(str, triple), "--family", str(path), "--samples", "100"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("skew", [lambda real: 0, lambda real: real + 1], ids=["zero", "plus-one"])
+def test_sampled_double_count_flags_a_wrong_kernel(monkeypatch, skew):
+    # The band must stay narrow enough to catch a broken count at the
+    # default 1,000 samples: on full V(8,3,2) every correct count is 8.
+    real = circle._count
+    monkeypatch.setattr(circle, "_count", lambda *args: skew(real(*args)))
+    report = double_count_check(enumerate_v(Params(8, 3, 2)))
+    assert [v.stage for v in report.violations] == ["double-count-sample"]
+    data = report.violations[0].data
+    assert set(data) == {"mean", "expected", "band"}
+    assert abs(data["mean"] - data["expected"]) > data["band"]
 
 
 def test_double_count_sample_mode():

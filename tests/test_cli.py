@@ -236,15 +236,6 @@ def test_threads_flag_validation(capsys):
     assert code == 2
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("ANTIPODAL_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "prop1", "4", "2", "2")
-    assert code == 0
-    assert "counterexamples: 0" in out
-    monkeypatch.setenv("ANTIPODAL_THREADS", "junk")
-    assert run(capsys, "verify", "prop1", "4", "2", "2")[0] == 2
-
-
 @pytest.mark.parametrize(
     "argv",
     [

@@ -100,19 +100,6 @@ def test_prop1_refuses_oversized_sweep():
         verify_prop1_exhaustive(30, 13, 13)
 
 
-def test_prop1_parallel_matches_serial():
-    serial = verify_prop1_exhaustive(5, 2, 2)
-    parallel = verify_prop1_exhaustive(5, 2, 2, workers=2)
-    assert serial.pairs_examined == parallel.pairs_examined
-    assert serial.counterexamples == parallel.counterexamples
-    assert serial.holds and parallel.holds
-
-
-def test_prop1_validates_workers():
-    with pytest.raises(InvalidParams):
-        verify_prop1_exhaustive(5, 2, 2, workers=0)
-
-
 @given(st.integers(4, 6), st.data())
 @settings(max_examples=25, deadline=None)
 def test_cross_intersecting_matches_brute(m, data):

@@ -1,5 +1,8 @@
 """Deletion pipeline: slices, cross-intersection, deletion trace, certification."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,9 @@ from antipodal import (
     BadT,
     Params,
     RangeError,
+    VectorFamily,
     antipodal_free_precheck,
+    antipodal_neighbors,
     certify_theorem1,
     choose,
     deletion_procedure,
@@ -23,6 +28,8 @@ from antipodal import (
     theorem1_bound,
     theorem2_certify,
 )
+
+from _brute import brute_deletion, brute_family_b, brute_lemma1, brute_subfamily
 
 PIPELINE_PARAMS = [
     (n, k, l)
@@ -59,6 +66,46 @@ def test_subfamily_uniformity_is_k_minus_l():
     assert s.uniformity == 1
     for member in s:
         assert len(member) == 1
+
+
+SLICE_PARAMS = [
+    (n, k, l)
+    for n in range(2, 9)
+    for k in range(1, n)
+    for l in range(1, k + 1)
+    if k + l <= n and choose(n, k) * choose(n - k, l) <= 600
+]
+
+
+@given(st.sampled_from(SLICE_PARAMS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_slices_match_frozenset_oracle(triple, data):
+    # A drawn subfamily in a drawn order, with an antipodal pair planted
+    # when the flag says so and n >= 2k allows one.
+    p = Params(*triple)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    full = list(enumerate_v(p))
+    members = rng.sample(full, data.draw(st.integers(0, min(len(full), 80)), label="size"))
+    if data.draw(st.booleans(), label="plant") and p.n >= 2 * p.k:
+        v = rng.choice(full)
+        for u in (v, rng.choice(antipodal_neighbors(v, p))):
+            members.insert(rng.randrange(len(members) + 1), u)
+    fam = VectorFamily(p, members)
+
+    assert json.dumps(lemma1_check(fam).as_dict()) == json.dumps(brute_lemma1(fam))
+    survivors, report = deletion_procedure(fam)
+    expected_survivors, expected_report = brute_deletion(fam)
+    assert list(survivors.strings()) == expected_survivors
+    assert json.dumps(report.as_dict()) == json.dumps(expected_report)
+
+    cells = list(range(1, p.n + 1))
+    rng.shuffle(cells)
+    a, b = cells[: p.l], cells[p.l : 2 * p.l]
+    assert list(subfamily(fam, a, b)) == brute_subfamily(fam, a, b)
+    t = cells[: p.k + p.l]
+    if members:  # also the support of a member, which is never empty
+        t = rng.choice([t, sorted(rng.choice(members).support)])
+    assert list(family_b(fam, t)) == brute_family_b(fam, t)
 
 
 # ---------------------------------------------------------------- lemma 1

@@ -30,6 +30,7 @@ from antipodal import (
     scalar_product,
 )
 from _brute import (
+    FrozensetVector,
     antipodal_pair_counts,
     brute_antipodal_neighbors,
     brute_find_antipodal_pair,
@@ -110,6 +111,66 @@ def test_make_vector_errors():
         make_vector(4, [1, 5], [2])
     with pytest.raises(RangeError):
         make_vector(4, [0, 1], [2])  # coordinates are 1-based
+
+
+def _outcome(f, *args):
+    """(f(*args), None), or (None, the class of the error it raised)."""
+    try:
+        return f(*args), None
+    except Exception as exc:  # the error class is what is compared
+        return None, type(exc)
+
+
+def _build(cls, n, plus, minus):
+    return _outcome(cls, n, frozenset(plus), frozenset(minus))
+
+
+# Indices: mostly in range, but also 0, negatives, beyond n, and non-ints
+# (True counts as the int 1, as it does for a frozenset).
+_index_st = st.one_of(
+    st.integers(-2, 10),
+    st.sampled_from([0, 1.0, 2.5, "1", None, True, False]),
+)
+
+
+@given(st.integers(0, 8), st.lists(_index_st, max_size=5), st.lists(_index_st, max_size=5), st.data())
+@settings(max_examples=400, deadline=None)
+def test_code_vector_matches_frozenset_definition(n, plus, minus, data):
+    got, got_error = _build(SignedVector, n, plus, minus)
+    ref, ref_error = _build(FrozensetVector, n, plus, minus)
+    assert got_error is ref_error
+    if ref is None:
+        return
+    assert (got.plus, got.minus, got.support) == (ref.plus, ref.minus, ref.support)
+    assert str(got) == str(ref) == format_vector(got)
+    for i in range(-1, n + 3):
+        assert _outcome(got.entry, i) == _outcome(ref.entry, i)
+    # a second vector: the same sets in another form, or a fresh draw
+    if data.draw(st.booleans()):
+        n2, plus2, minus2 = n, [int(i) for i in reversed(plus)], list(minus)
+    else:
+        n2 = data.draw(st.integers(max(n - 1, 0), n + 1))
+        plus2 = data.draw(st.lists(st.integers(1, n2 or 1), max_size=4))
+        minus2 = data.draw(st.lists(st.integers(1, n2 or 1), max_size=4))
+    got2, _ = _build(SignedVector, n2, plus2, minus2)
+    ref2, _ = _build(FrozensetVector, n2, plus2, minus2)
+    if ref2 is not None:
+        assert (got == got2) == (ref == ref2)
+        assert len({got, got2}) == len({ref, ref2})
+        if got == got2:
+            assert hash(got) == hash(got2)
+
+
+def test_signed_vector_stores_only_n_and_code():
+    v = parse_vector("+0-+")
+    assert SignedVector.__slots__ == ("n", "code")
+    assert (v.n, v.code) == (4, 0b1001 | 0b0100 << 4)
+    with pytest.raises(AttributeError):
+        v.code = 0
+    assert VectorFamily.from_codes(Params(4, 2, 1), [v.code]).members == (v,)
+    for bad in (-1, 0b0001_0011, 1 << 8 | 0b11):  # negative, overlapping, beyond 2n bits
+        with pytest.raises(InvalidParams):
+            VectorFamily.from_codes(Params(4, 2, 1), [bad])
 
 
 @given(params_st, st.data())
