@@ -13,6 +13,7 @@ has no effect at the capped sweep sizes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,9 @@ __all__ = ["main"]
 _CONSTRUCTORS = {"example1": example1, "example2": example2, "circle": circle_family}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="antipodal",
         description="Enumeration, exact optimization, and certified bounds for "

@@ -28,8 +28,36 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   residual mask.  A bound is reused only when it is at most the caller's
   target, and an exact entry is never replaced by a bound.
 
-At the root the target is the size of a min-degree greedy independent
+At the root the target is the size lo of a min-degree greedy independent
 set: if the search fails low, the greedy set is the proved optimum.
+
+max_antipodal_free adds a symmetric root for full V(n, k, l) with
+n >= 2k.  S_n permutes coordinates, acts transitively on V(n, k, l) and
+maps antipodal pairs to antipodal pairs, so it acts on the graph by
+automorphisms that move any vertex to any other.  Two facts follow:
+
+* ratio bound: for any vertex set H and any independent set S, summing
+  |S & sigma(H)| <= alpha(H) over all sigma in S_n counts each vertex of
+  S equally often, |H| n! / |V| times, so alpha <= |V| alpha(H) / |H|.
+  The root computes alpha(H) itself, for two H: the n-member circle
+  family (Katona's circle method, behind the paper's theorem 2), solved
+  exactly on its n vertices, and the vectors with coordinate n zero, a
+  copy of V(n-1, k, l) whose alpha is proved first by the same symmetric
+  root (the bound is skipped if that run is not proved);
+* vertex fixing: an automorphism maps any optimal set to one holding
+  vertex 0, so alpha = 1 + alpha(G - N[0]).  The root solves G - N[0]
+  against target lo - 1: failing low proves the greedy set optimal.
+  Below vertex 0 the same argument repeats with the permutations that
+  fix vertex 0 (orbital branching, Ostrowski, Linderoth, Rossi and
+  Smriglio 2011): take the largest orbit O of the remaining vertices,
+  branch on its lowest vertex v with the permutations that also fix v,
+  then drop all of O, until every orbit is a single vertex.
+
+If the ratio bound is already at most lo, the greedy set is proved
+optimal without the vertex-0 search.  All stages, the V(n-1, k, l) run
+included, share one deadline, and nodes_explored counts the nodes of
+every solver.  No bound is taken from bounds.py.
+
 Runs are deterministic: all scans are in ascending vertex order.  A
 budget (wall-clock seconds, checked on the first node and every 1024th
 after) caps the search; on exhaustion the result carries
@@ -48,6 +76,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
+from .constructions import circle_family
 from .errors import InvalidParams, TooLarge
 from .vectors import (
     Params,
@@ -157,6 +186,12 @@ class _Solver:
         self.nodes = 0
         self.memo: dict[int, tuple[int, int, bool]] = {}
 
+    def count_node(self) -> None:
+        """One more node; past the deadline, node 1 and every 1024th after raise."""
+        self.nodes += 1
+        if self.nodes & 1023 == 1 and time.monotonic() >= self.deadline:
+            raise _OutOfTime
+
     def solve(self, mask: int, lo: int) -> tuple[int, int]:
         """(size, witness_mask) for the induced subgraph on mask, against target lo.
 
@@ -164,9 +199,7 @@ class _Solver:
         returns an upper bound size <= lo, which proves alpha(mask) <= lo,
         with witness 0.
         """
-        self.nodes += 1
-        if self.nodes & 1023 == 1 and time.monotonic() >= self.deadline:
-            raise _OutOfTime
+        self.count_node()
         if mask == 0:
             return 0, 0
         hit = self.memo.get(mask)
@@ -337,18 +370,29 @@ def _is_independent(adj: tuple[int, ...], mask: int) -> bool:
     return all(adj[i] & mask == 0 for i in _bits(mask))
 
 
-def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResult:
-    """Exact alpha(g) with witness; lower bound only on budget exhaustion."""
+def _deadline(budget: float) -> float:
     if math.isnan(budget):
         raise InvalidParams("budget must be a number of seconds, got nan")
+    return time.monotonic() + budget
+
+
+def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
+    """The one root routine: greedy target, solve, witness check.
+
+    With p, g is antipodality_graph(p) and, when antipodal pairs exist,
+    the symmetric root replaces the plain solve of all of g.
+    """
     t0 = time.monotonic()
     greedy = _greedy_mask(g.adj)
     lo = greedy.bit_count()
-    solver = _Solver(g.adj, t0 + budget)
+    solver = _Solver(g.adj, deadline)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 3 * g.n + 1000))
     try:
-        size, wit = solver.solve((1 << g.n) - 1, lo)
+        if p is not None and p.nontrivial_regime:
+            size, wit = _symmetric_solve(solver, g, p, lo)
+        else:
+            size, wit = solver.solve((1 << g.n) - 1, lo)
         proved = True
     except _OutOfTime:
         size = 0
@@ -368,6 +412,73 @@ def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResul
         elapsed=time.monotonic() - t0,
         proof_of_optimality=proved,
     )
+
+
+def _symmetric_solve(solver: _Solver, g: Graph, p: Params, lo: int) -> tuple[int, int]:
+    """solver.solve(all of g, lo) for g = antipodality_graph(p), n >= 2k,
+    through the symmetry of V(n, k, l): the circle ratio bound, the
+    V(n-1, k, l) ratio bound, then orbital branching from vertex 0
+    (module docstring).  Same fail-low contract as _Solver.solve."""
+    codes = [parse_vector(s).code for s in g.labels]
+    index = {c: i for i, c in enumerate(codes)}
+    alpha_h, _ = solver.solve(sum(1 << index[c] for c in circle_family(p).codes), -1)
+    upper = g.n * alpha_h // p.n
+    if upper > lo and p.k + p.l < p.n:
+        q = Params(p.n - 1, p.k, p.l)
+        g_q = antipodality_graph(q)
+        sub = _search(g_q, solver.deadline, q)
+        # The sub-run's nodes count toward this run's.
+        solver.nodes += sub.nodes_explored
+        if sub.proof_of_optimality:
+            upper = min(upper, g.n * sub.optimum // g_q.n)
+    if upper <= lo:
+        return upper, 0
+    return _orbital_solve(solver, codes, p.n, (1 << g.n) - 1, ((1 << p.n) - 1,), lo)
+
+
+def _orbital_solve(
+    solver: _Solver, codes: list[int], n: int, mask: int, cells: tuple[int, ...], lo: int
+) -> tuple[int, int]:
+    """solver.solve(mask, lo) by orbital branching, for a mask that every
+    permutation of the coordinates keeping each cell (a coordinate mask)
+    in place maps onto itself; codes[i] is vertex i's vector code.
+
+    The orbits of that group on mask are given by how many plus and minus
+    entries a vector has in each cell.  An optimal set that meets the
+    first orbit is mapped by the group to one holding the orbit's lowest
+    vertex v, so alpha(mask) is the larger of 1 + alpha(mask - N[v]),
+    whose group also keeps v's plus, minus and zero entries in each cell,
+    and alpha(mask - orbit), whose group is unchanged.  Once every orbit
+    is a single vertex the plain solver takes over.
+    """
+    bound = solver._cover_bound(mask)
+    if bound <= lo:
+        return bound, 0
+    full = (1 << n) - 1
+    orbits: dict[tuple, int] = {}
+    for i in _bits(mask):
+        plus, minus = codes[i] & full, codes[i] >> n
+        key = tuple(((plus & c).bit_count(), (minus & c).bit_count()) for c in cells)
+        orbits[key] = orbits.get(key, 0) | 1 << i
+    if len(orbits) == mask.bit_count():
+        return solver.solve(mask, lo)
+    solver.count_node()
+    best, wit = lo, 0
+    # Largest orbit first: it removes the most vertices from the later branches.
+    for orbit in sorted(orbits.values(), key=int.bit_count, reverse=True):
+        v = (orbit & -orbit).bit_length() - 1
+        plus, minus = codes[v] & full, codes[v] >> n
+        split = tuple(x for c in cells for x in (c & plus, c & minus, c & ~(plus | minus)) if x)
+        s, w = _orbital_solve(solver, codes, n, mask & ~solver.closed[v], split, best - 1)
+        if s >= best:
+            best, wit = s + 1, w | 1 << v
+        mask &= ~orbit
+    return best, wit
+
+
+def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResult:
+    """Exact alpha(g) with witness; lower bound only on budget exhaustion."""
+    return _search(g, _deadline(budget))
 
 
 def antipodality_graph(p: Params, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -422,10 +533,12 @@ def kneser_graph(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Grap
 def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Exact maximum antipodal-free subfamily of V(n, k, l).
 
-    The witness is re-verified antipodal-free, and the optimum is checked
-    against the applicable closed-form bounds before returning.
+    The search starts at the symmetric root (module docstring), which
+    computes its own ratio bounds.  The witness is re-verified
+    antipodal-free, and the optimum is checked against the applicable
+    closed-form bounds before returning.
     """
-    result = max_independent_set(antipodality_graph(p), budget)
+    result = _search(antipodality_graph(p), _deadline(budget), p)
     fam = VectorFamily(p, (parse_vector(s) for s in result.witness))
     if len(fam) != result.optimum:
         raise RuntimeError("solver witness has duplicate or invalid members")

@@ -22,6 +22,7 @@ from antipodal import (
     lemma2_check,
     load_family,
 )
+from antipodal import cli
 from antipodal.cli import main
 from antipodal.familyfile import save_family
 
@@ -351,3 +352,11 @@ def test_table_json(capsys):
     rows = json.loads(out)
     row = next(r for r in rows if (r["n"], r["k"], r["l"]) == (4, 2, 1))
     assert row["alpha"] == 6 and row["exact"] is True
+
+
+def test_parser_is_built_once(capsys):
+    # One parser serves every main call; an error exit leaves it reusable.
+    assert cli._build_parser() is cli._build_parser()
+    first = run(capsys, "bounds", "6", "2", "1")
+    assert run(capsys, "bounds", "6", "2")[0] == 2
+    assert run(capsys, "bounds", "6", "2", "1") == first

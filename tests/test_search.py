@@ -1,5 +1,6 @@
 """Exact solver: graph model, branch and bound vs brute force, extremal values."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -18,17 +19,19 @@ from antipodal import (
     TooLarge,
     antipodal_degree,
     antipodality_graph,
+    cardinality_v,
     ekr_bound,
     fk1_bound,
     kneser_graph,
     max_antipodal_free,
     max_independent_set,
     max_intersecting,
+    parse_vector,
     theorem1_bound,
     theorem2_bound,
 )
 from antipodal import bounds, search
-from _brute import brute_max_independent
+from _brute import antipodal_pair_counts, brute_max_independent
 
 
 def _random_graph(rng, n, p_edge):
@@ -258,11 +261,145 @@ def test_witness_check_survives_python_O():
     assert "antipodal neighbours, expected 3" in lines[2]
 
 
+# ---------------------------------------------------------------- symmetric root
+
+_SMALL_TRIPLES = [(n, k, l) for n in range(2, 7) for k in range(1, n) for l in range(1, k + 1) if k + l <= n]
+
+
+@pytest.mark.parametrize("triple", _SMALL_TRIPLES)
+def test_symmetric_root_matches_plain_search(triple):
+    p = Params(*triple)
+    plain = max_independent_set(antipodality_graph(p))
+    result = max_antipodal_free(p)
+    assert plain.proof_of_optimality and result.proof_of_optimality
+    assert result.optimum == plain.optimum == len(set(result.witness))
+    assert not antipodal_pair_counts(list(result.witness), p.l).any()
+
+
+def test_symmetric_root_is_deterministic():
+    first = max_antipodal_free(Params(7, 2, 1))
+    second = max_antipodal_free(Params(7, 2, 1))
+    assert first.proof_of_optimality
+    assert first.as_dict() == second.as_dict()
+
+
+@pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1), (7, 3, 1), (7, 3, 2), (3, 2, 1)])
+def test_symmetric_root_zero_budget_returns_greedy(triple):
+    p = Params(*triple)
+    result = max_antipodal_free(p, budget=0)
+    greedy = max_independent_set(antipodality_graph(p), budget=0)
+    assert not result.proof_of_optimality
+    assert result.optimum == greedy.optimum == len(result.witness)
+    assert result.witness == greedy.witness
+
+
+def test_symmetric_root_counts_every_solver(monkeypatch):
+    # (7,2,1) proves alpha(6,2,1) first, which proves alpha(5,2,1) first:
+    # three solvers, and nodes_explored counts the nodes of all three.
+    counted = []
+    solvers = []
+    count_node, init = search._Solver.count_node, search._Solver.__init__
+
+    def counting(self):
+        counted.append(len(self.adj))
+        count_node(self)
+
+    def recording_init(self, adj, deadline):
+        init(self, adj, deadline)
+        solvers.append(len(adj))
+
+    monkeypatch.setattr(search._Solver, "count_node", counting)
+    monkeypatch.setattr(search._Solver, "__init__", recording_init)
+    result = max_antipodal_free(Params(7, 2, 1))
+    assert result.proof_of_optimality and result.optimum == 37
+    assert solvers == [105, 60, 30]
+    assert set(counted) == {105, 60, 30}
+    assert result.nodes_explored == len(counted)
+
+
+def _cell_orbits(labels, cells):
+    """Orbits of the coordinate permutations that keep every cell (a set
+    of 0-based positions) in place, by applying each such permutation."""
+    n = len(labels[0])
+    group = [
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(perm[i] in cell for cell in cells for i in cell)
+    ]
+    index = {s: i for i, s in enumerate(labels)}
+    orbits = []
+    seen = set()
+    for s in labels:
+        if s not in seen:
+            orbit = {"".join(s[perm[i]] for i in range(n)) for perm in group}
+            seen |= orbit
+            orbits.append(sum(1 << index[t] for t in orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (6, 2, 1), (6, 2, 2), (6, 3, 1), (6, 3, 2)])
+def test_orbital_branching_matches_plain_solver(triple):
+    # Seeded cases: a random split of the coordinates into at most three
+    # cells, and the union of a random subset of that group's orbits.
+    rng = random.Random(sum(triple))
+    p = Params(*triple)
+    g = antipodality_graph(p)
+    codes = [parse_vector(s).code for s in g.labels]
+    for _ in range(40):
+        colour = [rng.randrange(3) for _ in range(p.n)]
+        cells = [c for c in ({i for i in range(p.n) if colour[i] == j} for j in range(3)) if c]
+        mask = sum(o for o in _cell_orbits(g.labels, cells) if rng.random() < 0.6)
+        alpha = max_independent_set(_induced(g, search._bits(mask))).optimum
+        cell_masks = tuple(sum(1 << i for i in c) for c in cells)
+        for lo in (-1, alpha - 1, alpha):
+            solver = search._Solver(g.adj, float("inf"))
+            size, wit = search._orbital_solve(solver, codes, p.n, mask, cell_masks, lo)
+            if alpha > lo:
+                assert size == wit.bit_count() == alpha
+                assert wit & ~mask == 0
+                assert all(g.adj[i] & wit == 0 for i in search._bits(wit))
+            else:
+                assert alpha <= size <= lo
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (6, 2, 2), (7, 3, 2)])
+def test_last_coordinate_zero_induces_the_smaller_graph(triple):
+    # The V(n-1,k,l) ratio bound needs the vertices with coordinate n zero
+    # to induce a copy of the antipodality graph of V(n-1,k,l).
+    p = Params(*triple)
+    g = antipodality_graph(p)
+    small = antipodality_graph(Params(p.n - 1, p.k, p.l))
+    keep = [i for i, s in enumerate(g.labels) if s.endswith("0")]
+    h = _induced(g, keep)
+    assert [s[:-1] for s in h.labels] == list(small.labels)
+    assert h.adj == small.adj
+
+
+def test_symmetric_root_never_reads_closed_form_bounds(monkeypatch):
+    # Vacuous closed forms: the ratio bounds are computed from circle_family
+    # and V(n-1,k,l) by the solver, never looked up in bounds.py.
+    for name in ("theorem1_bound", "theorem2_bound"):
+        monkeypatch.setattr(search, name, cardinality_v)
+    for p, alpha in [((6, 2, 1), 22), ((7, 3, 1), 60), ((7, 3, 2), 90)]:
+        result = max_antipodal_free(Params(*p), budget=30.0)
+        assert result.proof_of_optimality
+        assert result.optimum == alpha
+
+
 # ---------------------------------------------------------------- extremal values
 
 @pytest.mark.parametrize(
     "p,alpha",
-    [((2, 1, 1), 1), ((4, 2, 1), 6), ((4, 2, 2), 3), ((5, 2, 1), 12), ((6, 2, 2), 45)],
+    [
+        ((2, 1, 1), 1),
+        ((4, 2, 1), 6),
+        ((4, 2, 2), 3),
+        ((5, 2, 1), 12),
+        ((6, 2, 2), 45),
+        ((7, 3, 2), 90),
+        ((8, 3, 1), 105),
+        ((8, 2, 1), 58),
+    ],
 )
 def test_alpha_frozen(p, alpha):
     result = max_antipodal_free(Params(*p))
