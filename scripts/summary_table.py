@@ -1,52 +1,39 @@
 #!/usr/bin/env python3
 """Sweep (n,k,l), solve each instance exactly, and summarize bound tightness.
 
-Prints the per-instance table (same layout as `antipodal table`) followed
-by attainment counts: how often each bound coincides with the exact
-optimum across the sweep.  Instances the solver cannot finish inside the
-budget are listed as lower bounds and excluded from the counts.
+Runs `antipodal table NMAX KMAX --json` once and counts, over the
+instances it proves optimal, how often each bound coincides with the
+exact optimum.  Instances the table skips (over its vertex cap) or does
+not finish inside the budget are listed and excluded from the counts.
+The per-instance table itself is `antipodal table NMAX KMAX`.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import sys
 from collections import Counter
 
-from antipodal import Params, TooLarge, bound_table, cardinality_v, max_antipodal_free
 from antipodal.cli import main as cli_main
 
+_BOUNDS = {"example1": "ex1", "example2": "ex2", "thm1": "thm1", "thm2": "thm2", "fk1": "fk1"}
 
-def run(nmax: int, kmax: int, budget: float, vertex_cap: int) -> int:
-    cli_main(["table", str(nmax), str(kmax), "--budget", str(budget)])
 
-    attained = Counter()
-    solved = 0
-    skipped = []
-    for n in range(2, nmax + 1):
-        for k in range(1, kmax + 1):
-            for l in range(1, k + 1):
-                if k + l > n:
-                    continue
-                p = Params(n, k, l)
-                if cardinality_v(p) > vertex_cap:
-                    skipped.append((n, k, l))
-                    continue
-                try:
-                    result = max_antipodal_free(p, budget=budget)
-                except TooLarge:
-                    skipped.append((n, k, l))
-                    continue
-                if not result.proof_of_optimality:
-                    skipped.append((n, k, l))
-                    continue
-                solved += 1
-                for e in bound_table(p).entries:
-                    if e.name != "V" and e.applicable and e.value == result.optimum:
-                        attained[e.name] += 1
+def run(nmax: int, kmax: int, budget: float) -> int:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["table", str(nmax), str(kmax), "--budget", str(budget), "--json"])
+    if code:
+        return code
+    rows = json.loads(out.getvalue())
+    solved = [row for row in rows if row["exact"]]
+    attained = Counter(t.lstrip("=") for row in solved for t in row["tight"])
+    skipped = [(row["n"], row["k"], row["l"]) for row in rows if not row["exact"]]
 
-    print()
-    print(f"exactly solved: {solved} instances")
-    for name in ("example1", "example2", "thm1", "thm2", "fk1"):
-        print(f"  optimum attained by {name:<9} {attained.get(name, 0):>3} times")
+    print(f"exactly solved: {len(solved)} instances")
+    for name, short in _BOUNDS.items():
+        print(f"  optimum attained by {name:<9} {attained[short]:>3} times")
     if skipped:
         print(f"  skipped (too large or budget): {skipped}")
     return 0
@@ -57,9 +44,8 @@ def main() -> int:
     ap.add_argument("--nmax", type=int, default=6)
     ap.add_argument("--kmax", type=int, default=3)
     ap.add_argument("--budget", type=float, default=30.0)
-    ap.add_argument("--vertex-cap", type=int, default=600)
     args = ap.parse_args()
-    return run(args.nmax, args.kmax, args.budget, args.vertex_cap)
+    return run(args.nmax, args.kmax, args.budget)
 
 
 if __name__ == "__main__":

@@ -80,15 +80,15 @@ def theorem2_bound(p: Params) -> int:
 
 
 def fk1_bound(n: int, k: int) -> int:
-    """Exact maximum for l = 1: k C(n-1,k) while n <= k^2, then
-    k C(k^2-1,k) + sum_{m=k^2}^{n-1} C(m,k)."""
+    """Exact maximum for l = 1: k C(n-1,k) while n <= k^2, then k C(k^2-1,k)
+    + sum_{m=k^2}^{n-1} C(m,k), which is C(n,k+1) - C(k^2,k+1) by the hockey stick."""
     if k < 1:
         raise RegimeError(f"fk1_bound needs k >= 1, got k={k}")
     if n < 2 * k:
         raise RegimeError(f"fk1_bound needs n >= 2k, got n={n}, k={k}")
     if n <= k * k:
         return k * math.comb(n - 1, k)
-    return k * choose(k * k - 1, k) + sum(math.comb(m, k) for m in range(k * k, n))
+    return k * choose(k * k - 1, k) + math.comb(n, k + 1) - math.comb(k * k, k + 1)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ automorphisms that move any vertex to any other.  Two facts follow:
   The root computes alpha(H) itself, for two H: the n-member circle
   family (Katona's circle method, behind the paper's theorem 2), solved
   exactly on its n vertices, and the vectors with coordinate n zero, a
-  copy of V(n-1, k, l) whose alpha is proved first by the same symmetric
-  root (the bound is skipped if that run is not proved);
+  copy of V(n-1, k, l) in the same vertex order, whose alpha the same
+  symmetric root solves in place, inside G, against its greedy target;
 * vertex fixing: an automorphism maps any optimal set to one holding
   vertex 0, so alpha = 1 + alpha(G - N[0]).  The root solves G - N[0]
   against target lo - 1: failing low proves the greedy set optimal.
@@ -54,9 +54,9 @@ automorphisms that move any vertex to any other.  Two facts follow:
   then drop all of O, until every orbit is a single vertex.
 
 If the ratio bound is already at most lo, the greedy set is proved
-optimal without the vertex-0 search.  All stages, the V(n-1, k, l) run
-included, share one deadline, and nodes_explored counts the nodes of
-every solver.  No bound is taken from bounds.py.
+optimal without the vertex-0 search.  Each search, V(n-1, k, l) copies
+included, runs on one solver: one memo, node count and deadline.  No
+bound is taken from bounds.py.
 
 Runs are deterministic: all scans are in ascending vertex order.  A
 budget (wall-clock seconds, checked on the first node and every 1024th
@@ -334,15 +334,12 @@ class _Solver:
         return mask.bit_count() - pairs
 
 
-def _greedy_mask(adj: tuple[int, ...]) -> int:
-    """Min-degree greedy independent set: the root target and the budget fallback."""
-    n = len(adj)
-    closed = [a | (1 << i) for i, a in enumerate(adj)]
-    m = (1 << n) - 1
+def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
+    """Min-degree greedy independent set in the vertex mask m: a target and the budget fallback."""
     chosen = 0
     while m:
         best_v = -1
-        best_d = n + 1
+        best_d = len(adj)
         mm = m
         while mm:
             lsb = mm & -mm
@@ -353,7 +350,7 @@ def _greedy_mask(adj: tuple[int, ...]) -> int:
                 best_d = d
                 best_v = i
         chosen |= 1 << best_v
-        m &= ~closed[best_v]
+        m &= ~(adj[best_v] | 1 << best_v)
     return chosen
 
 
@@ -377,22 +374,24 @@ def _deadline(budget: float) -> float:
 
 
 def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
-    """The one root routine: greedy target, solve, witness check.
+    """The one root routine: greedy target, one solver, witness check.
 
     With p, g is antipodality_graph(p) and, when antipodal pairs exist,
     the symmetric root replaces the plain solve of all of g.
     """
     t0 = time.monotonic()
-    greedy = _greedy_mask(g.adj)
+    everything = (1 << g.n) - 1
+    greedy = _greedy_mask(g.adj, everything)
     lo = greedy.bit_count()
     solver = _Solver(g.adj, deadline)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 3 * g.n + 1000))
     try:
         if p is not None and p.nontrivial_regime:
-            size, wit = _symmetric_solve(solver, g, p, lo)
+            codes = [parse_vector(s).code for s in g.labels]
+            size, wit = _symmetric_solve(solver, codes, p, p.n, everything, lo)
         else:
-            size, wit = solver.solve((1 << g.n) - 1, lo)
+            size, wit = solver.solve(everything, lo)
         proved = True
     except _OutOfTime:
         size = 0
@@ -414,26 +413,26 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     )
 
 
-def _symmetric_solve(solver: _Solver, g: Graph, p: Params, lo: int) -> tuple[int, int]:
-    """solver.solve(all of g, lo) for g = antipodality_graph(p), n >= 2k,
-    through the symmetry of V(n, k, l): the circle ratio bound, the
-    V(n-1, k, l) ratio bound, then orbital branching from vertex 0
-    (module docstring).  Same fail-low contract as _Solver.solve."""
-    codes = [parse_vector(s).code for s in g.labels]
-    index = {c: i for i, c in enumerate(codes)}
-    alpha_h, _ = solver.solve(sum(1 << index[c] for c in circle_family(p).codes), -1)
-    upper = g.n * alpha_h // p.n
-    if upper > lo and p.k + p.l < p.n:
-        q = Params(p.n - 1, p.k, p.l)
-        g_q = antipodality_graph(q)
-        sub = _search(g_q, solver.deadline, q)
-        # The sub-run's nodes count toward this run's.
-        solver.nodes += sub.nodes_explored
-        if sub.proof_of_optimality:
-            upper = min(upper, g.n * sub.optimum // g_q.n)
+def _symmetric_solve(
+    solver: _Solver, codes: list[int], p: Params, m: int, mask: int, lo: int
+) -> tuple[int, int]:
+    """solver.solve(mask, lo), where mask holds the vertices of
+    antipodality_graph(p) zero past coordinate m, a copy of V(m, k, l)
+    with m >= 2k: the circle and V(m-1, k, l) ratio bounds, then orbital
+    branching (module docstring).  Same fail-low contract as _Solver.solve."""
+    low = (1 << m) - 1
+    circle = {c & low | c >> m << p.n for c in circle_family(Params(m, p.k, p.l)).codes}
+    h = sum(1 << i for i in _bits(mask) if codes[i] in circle)
+    upper = mask.bit_count() * solver.solve(h, -1)[0] // h.bit_count()
+    if upper > lo and m - 1 >= 2 * p.k:
+        at_m = 1 << (m - 1) | 1 << (p.n + m - 1)  # the plus and minus bits of coordinate m
+        sub = sum(1 << i for i in _bits(mask) if not codes[i] & at_m)
+        target = _greedy_mask(solver.adj, sub).bit_count()
+        size, _ = _symmetric_solve(solver, codes, p, m - 1, sub, target)
+        upper = min(upper, mask.bit_count() * max(size, target) // sub.bit_count())
     if upper <= lo:
         return upper, 0
-    return _orbital_solve(solver, codes, p.n, (1 << g.n) - 1, ((1 << p.n) - 1,), lo)
+    return _orbital_solve(solver, codes, p.n, mask, (low,), lo)
 
 
 def _orbital_solve(

@@ -88,6 +88,24 @@ def test_fk1_regimes():
         fk1_bound(3, 2)
 
 
+def test_fk1_closed_form_matches_the_summed_form():
+    # Oracle: the bound as the paper states it, summing one binomial per m.
+    for k in range(1, 8):
+        for n in range(2 * k, 80):
+            if n <= k * k:
+                summed = k * comb(n - 1, k)
+            else:
+                summed = k * comb(k * k - 1, k) + sum(comb(m, k) for m in range(k * k, n))
+            assert fk1_bound(n, k) == summed, (n, k)
+
+
+def test_fk1_huge_n_returns():
+    # The closed form costs the same at any n; a summed form would loop
+    # 10^12 times.  Consecutive values differ by the summand C(n-1,k).
+    n = 10**12
+    assert fk1_bound(n, 3) - fk1_bound(n - 1, 3) == comb(n - 1, 3)
+
+
 @pytest.mark.parametrize("nk,value", [((4, 2), 3), ((5, 2), 4), ((6, 3), 10)])
 def test_ekr_frozen(nk, value):
     assert ekr_bound(*nk) == value == comb(nk[0] - 1, nk[1] - 1)

@@ -293,28 +293,45 @@ def test_symmetric_root_zero_budget_returns_greedy(triple):
     assert result.witness == greedy.witness
 
 
-def test_symmetric_root_counts_every_solver(monkeypatch):
-    # (7,2,1) proves alpha(6,2,1) first, which proves alpha(5,2,1) first:
-    # three solvers, and nodes_explored counts the nodes of all three.
+def test_symmetric_root_runs_one_solver(monkeypatch):
+    # (7,2,1) solves its copies of V(6,2,1) and V(5,2,1) in place, so the
+    # whole search is one solver on the 105 vertices of V(7,2,1), and
+    # nodes_explored is exactly that solver's node count.
     counted = []
     solvers = []
     count_node, init = search._Solver.count_node, search._Solver.__init__
 
     def counting(self):
-        counted.append(len(self.adj))
+        counted.append(self)
         count_node(self)
 
     def recording_init(self, adj, deadline):
         init(self, adj, deadline)
-        solvers.append(len(adj))
+        solvers.append(self)
 
     monkeypatch.setattr(search._Solver, "count_node", counting)
     monkeypatch.setattr(search._Solver, "__init__", recording_init)
     result = max_antipodal_free(Params(7, 2, 1))
     assert result.proof_of_optimality and result.optimum == 37
-    assert solvers == [105, 60, 30]
-    assert set(counted) == {105, 60, 30}
-    assert result.nodes_explored == len(counted)
+    assert [len(s.adj) for s in solvers] == [105]
+    assert all(s is solvers[0] for s in counted)
+    assert result.nodes_explored == len(counted) == solvers[0].nodes
+
+
+@pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1)])
+def test_symmetric_root_builds_one_graph(monkeypatch, triple):
+    # The copies of V(n-1,k,l) are solved inside the graph of V(n,k,l).
+    built = []
+    build = search.antipodality_graph
+
+    def recording(p, *args, **kwargs):
+        built.append(p)
+        return build(p, *args, **kwargs)
+
+    monkeypatch.setattr(search, "antipodality_graph", recording)
+    p = Params(*triple)
+    assert max_antipodal_free(p).proof_of_optimality
+    assert built == [p]
 
 
 def _cell_orbits(labels, cells):
@@ -373,6 +390,49 @@ def test_last_coordinate_zero_induces_the_smaller_graph(triple):
     h = _induced(g, keep)
     assert [s[:-1] for s in h.labels] == list(small.labels)
     assert h.adj == small.adj
+
+
+@pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1), (7, 3, 2), (8, 2, 1), (8, 3, 1)])
+def test_copy_of_the_smaller_space_solved_in_place(triple):
+    # The vertices with coordinate n zero, solved by the symmetric root
+    # inside the V(n,k,l) solver against their greedy target, give
+    # alpha(n-1,k,l) as a standalone search proves it.
+    p = Params(*triple)
+    g = antipodality_graph(p)
+    codes = [parse_vector(s).code for s in g.labels]
+    copy = sum(1 << i for i, s in enumerate(g.labels) if s.endswith("0"))
+    solver = search._Solver(g.adj, float("inf"))
+    target = search._greedy_mask(g.adj, copy).bit_count()
+    size, wit = search._symmetric_solve(solver, codes, p, p.n - 1, copy, target)
+    assert wit & ~copy == 0
+    if size > target:
+        assert wit.bit_count() == size and all(g.adj[i] & wit == 0 for i in search._bits(wit))
+    assert max(size, target) == max_antipodal_free(Params(p.n - 1, p.k, p.l)).optimum
+
+
+@pytest.mark.parametrize(
+    "triple,circle,smaller", [((8, 2, 1), 168, 59), ((8, 3, 2), 280, 240), ((9, 3, 1), 224, 189)]
+)
+def test_ratio_bounds_close_at_their_values(monkeypatch, triple, circle, smaller):
+    # Against a target equal to a ratio bound, the symmetric root returns
+    # that bound and never branches on the whole space: first the circle
+    # bound, then the lower bound from the copy of V(n-1,k,l).
+    p = Params(*triple)
+    g = antipodality_graph(p)
+    codes = [parse_vector(s).code for s in g.labels]
+    everything = (1 << g.n) - 1
+    branched = []
+    orbital = search._orbital_solve
+
+    def recording(solver, codes, n, mask, cells, lo):
+        branched.append(mask)
+        return orbital(solver, codes, n, mask, cells, lo)
+
+    monkeypatch.setattr(search, "_orbital_solve", recording)
+    for lo in (circle, smaller):
+        solver = search._Solver(g.adj, float("inf"))
+        assert search._symmetric_solve(solver, codes, p, p.n, everything, lo) == (lo, 0)
+    assert everything not in branched
 
 
 def test_symmetric_root_never_reads_closed_form_bounds(monkeypatch):
