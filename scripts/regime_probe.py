@@ -6,6 +6,9 @@ antipodal-free families and example2 attains it.  This script solves
 instances just past that edge and reports whether the (no longer
 justified) circle value still happens to bound, or even match, the true
 optimum.  Output is evidence, not a theorem check: nothing here asserts.
+Every instance visited gets a row: one over --vertex-cap or too large
+for the solver is marked skipped, and one not proved within --budget
+shows its lower bound as `lower <= alpha`.
 """
 
 import argparse
@@ -26,6 +29,7 @@ from antipodal import (
 def probe(kmax: int, overshoot: int, budget: float, vertex_cap: int) -> int:
     print(f"{'n':>3} {'k':>3} {'l':>3} {'edge':>5} {'alpha':>7} {'k|V|/n':>9} "
           f"{'ex1':>6} {'ex2':>6} {'thm1':>6}  verdict")
+    blank = f"{'-':>7} {'-':>9} {'-':>6} {'-':>6} {'-':>6}"
     for k in range(2, kmax + 1):
         for l in range(1, k + 1):
             edge = 3 * k - l
@@ -33,24 +37,30 @@ def probe(kmax: int, overshoot: int, budget: float, vertex_cap: int) -> int:
                 if n < 2 * k or k + l > n:
                     continue
                 p = Params(n, k, l)
-                if cardinality_v(p) > vertex_cap:
+                size = cardinality_v(p)
+                head = f"{n:>3} {k:>3} {l:>3} {edge:>5}"
+                if size > vertex_cap:
+                    print(f"{head} {blank}  skipped: |V| = {size} is over --vertex-cap {vertex_cap}")
                     continue
                 try:
                     result = max_antipodal_free(p, budget=budget)
-                except TooLarge:
-                    continue
-                if not result.proof_of_optimality:
+                except TooLarge as exc:
+                    print(f"{head} {blank}  skipped: {exc}")
                     continue
                 alpha = result.optimum
-                circle_value = Fraction(k * cardinality_v(p), n)
-                if alpha > circle_value:
+                alpha_col = str(alpha)
+                circle_value = Fraction(k * size, n)
+                if not result.proof_of_optimality:
+                    alpha_col = f">={alpha}"
+                    verdict = f"not proved in {budget:g} s: {alpha} <= alpha"
+                elif alpha > circle_value:
                     verdict = "circle value fails past the edge"
                 elif alpha == circle_value:
                     verdict = "circle value still exact"
                 else:
                     verdict = "circle value holds (unproven here)"
                 print(
-                    f"{n:>3} {k:>3} {l:>3} {edge:>5} {alpha:>7} "
+                    f"{head} {alpha_col:>7} "
                     f"{str(circle_value):>9} {len(example1(p)):>6} "
                     f"{len(example2(p)):>6} {theorem1_bound(p):>6}  {verdict}"
                 )

@@ -12,15 +12,18 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   taken over its neighbor (dominance: swapping the neighbor out for the
   leaf never shrinks an independent set), cascading until the residual
   has minimum degree 2.  The target drops by the number taken;
-* bound: a residual whose greedy clique-cover bound is at most the
-  target fails low at once.  The cover greedily pairs each vertex with
-  an earlier unpaired neighbor, i.e. it covers by edges and singletons;
-  on the triangle-free antipodality graphs that is the full greedy
-  cover, since no clique has three vertices;
+* bound: a residual whose clique-cover bound is at most the target
+  fails low at once.  The cover is a matching M plus singletons, so
+  alpha <= |V_res| - |M| on any graph; on the triangle-free antipodality
+  graphs no clique has three vertices, and by Gallai's identity the best
+  such cover is |V_res| - nu for a maximum matching nu.  M starts as a
+  greedy matching and grows by augmenting paths, found by a BFS over an
+  alternating tree without blossom shrinking (it may miss a path, never
+  makes a wrong one), until the bound reaches the target;
 * decomposition: connected components are solved in order, each against
-  the target minus the exact sizes already found and the cover bounds of
-  the components still unsolved; once one fails low, so does the whole
-  residual;
+  the target minus the exact sizes already found and the sum of the
+  cover bounds of the components still unsolved; once one fails low, so
+  does the whole residual;
 * branching: on a maximum-degree vertex (lowest index on ties), include
   branch first against target - 1, then the exclude branch against the
   larger of the target and the include result;
@@ -177,7 +180,7 @@ class _OutOfTime(Exception):
 
 
 class _Solver:
-    __slots__ = ("adj", "closed", "deadline", "nodes", "memo")
+    __slots__ = ("adj", "closed", "deadline", "nodes", "memo", "mate", "parent")
 
     def __init__(self, adj: tuple[int, ...], deadline: float):
         self.adj = adj
@@ -185,6 +188,9 @@ class _Solver:
         self.deadline = deadline
         self.nodes = 0
         self.memo: dict[int, tuple[int, int, bool]] = {}
+        # Scratch for _cover_bound: an entry is read only after that call set it.
+        self.mate = [0] * len(adj)
+        self.parent = [0] * len(adj)
 
     def count_node(self) -> None:
         """One more node; past the deadline, node 1 and every 1024th after raise."""
@@ -236,19 +242,20 @@ class _Solver:
         target = lo - taken
         if m == 0:
             return self._exact(mask, taken, chosen)
-        bound = self._cover_bound(m)
+        bound = self._cover_bound(m, target)
         if bound <= target:
             return self._fail_low(mask, taken + bound)
 
         comps = self._components(m)
         if len(comps) > 1:
-            # The greedy cover never pairs vertices of two components, so
-            # the components' cover bounds sum to the residual's bound.
-            unsolved = bound
+            # unsolved bounds the components after the current one by the
+            # sum of their own cover bounds.
+            covers = [self._cover_bound(comp, -1) for comp in comps]
+            unsolved = sum(covers)
             size = 0
             wit = 0
-            for comp in comps:
-                unsolved -= self._cover_bound(comp)
+            for comp, cover in zip(comps, covers):
+                unsolved -= cover
                 need = target - size - unsolved
                 s, w = self.solve(comp, need)
                 if s <= need:
@@ -316,22 +323,72 @@ class _Solver:
                 best_v = i
         return best_v
 
-    def _cover_bound(self, mask: int) -> int:
-        """Clique-cover upper bound: vertices minus greedily matched pairs."""
-        open_m = 0
-        pairs = 0
+    def _cover_bound(self, mask: int, target: int) -> int:
+        """Clique-cover upper bound |mask| - |M| for a matching M of the
+        induced subgraph; each edge of M and each unmatched vertex is a
+        clique.  Returns as soon as the bound is at most target.
+
+        M starts greedy: each vertex is paired with its lowest earlier
+        unmatched neighbor.  It then grows by augmenting paths, one BFS
+        over an alternating tree per unmatched root in ascending order.
+        The BFS shrinks no blossoms, so it may miss a path that exists,
+        but every path it finds alternates and so gives a larger matching.
+        """
+        adj = self.adj
+        mate = self.mate
+        free = 0  # the unmatched vertices
         mm = mask
         while mm:
             lsb = mm & -mm
             i = lsb.bit_length() - 1
             mm ^= lsb
-            cand = self.adj[i] & open_m
+            cand = adj[i] & free
             if cand:
-                open_m ^= cand & -cand
-                pairs += 1
+                low = cand & -cand
+                j = low.bit_length() - 1
+                mate[i] = j
+                mate[j] = i
+                free ^= low
             else:
-                open_m |= lsb
-        return mask.bit_count() - pairs
+                free |= lsb
+        # |mask| - |M|, with |M| = (|mask| - |free|) / 2
+        bound = (mask.bit_count() + free.bit_count()) // 2
+        parent = self.parent
+        roots = free
+        while roots and bound > target:
+            root_bit = roots & -roots
+            roots ^= root_bit
+            if not free & root_bit:
+                continue  # matched by an earlier augmenting path
+            r = root_bit.bit_length() - 1
+            seen = root_bit
+            outer = [r]
+            for u in outer:
+                nbrs = adj[u] & mask & ~seen
+                hit = nbrs & free
+                if hit:
+                    end = hit & -hit
+                    free ^= root_bit | end
+                    bound -= 1
+                    w = end.bit_length() - 1
+                    while True:  # flip the path r ... u - w
+                        nxt = mate[u]
+                        mate[w] = u
+                        mate[u] = w
+                        if u == r:
+                            break
+                        w = nxt
+                        u = parent[w]
+                    break
+                while nbrs:  # matched neighbors: inner, their mates outer
+                    xb = nbrs & -nbrs
+                    x = xb.bit_length() - 1
+                    y = mate[x]
+                    parent[x] = u
+                    seen |= xb | 1 << y
+                    nbrs &= ~seen
+                    outer.append(y)
+        return bound
 
 
 def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
@@ -450,7 +507,7 @@ def _orbital_solve(
     and alpha(mask - orbit), whose group is unchanged.  Once every orbit
     is a single vertex the plain solver takes over.
     """
-    bound = solver._cover_bound(mask)
+    bound = solver._cover_bound(mask, lo)
     if bound <= lo:
         return bound, 0
     full = (1 << n) - 1

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -360,3 +363,16 @@ def test_parser_is_built_once(capsys):
     first = run(capsys, "bounds", "6", "2", "1")
     assert run(capsys, "bounds", "6", "2")[0] == 2
     assert run(capsys, "bounds", "6", "2", "1") == first
+
+
+@pytest.mark.parametrize("argv,code", [(["search", "5", "2", "1"], 0), (["search", "5", "2"], 2)])
+def test_python_dash_m_runs_the_cli(argv, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "antipodal", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.splitlines()[0].startswith("alpha(5,2,1) = 12")

@@ -1,0 +1,65 @@
+"""The experiment scripts report every instance they visit."""
+
+import importlib.util
+from pathlib import Path
+
+from antipodal import Params, TooLarge, cardinality_v
+
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+def _probe_rows(capsys, module, **kwargs):
+    assert module.probe(**kwargs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["n", "k", "l", "edge"]
+    return {tuple(map(int, line.split()[:3])): line for line in lines[1:]}
+
+def _probe_triples(kmax, overshoot):
+    # The instances probe visits: n just past 3k - l with n >= 2k and k + l <= n.
+    return {
+        (n, k, l)
+        for k in range(2, kmax + 1)
+        for l in range(1, k + 1)
+        for n in range(3 * k - l + 1, 3 * k - l + overshoot + 1)
+        if n >= 2 * k and k + l <= n
+    }
+
+def test_regime_probe_reports_skipped_and_unproved_instances(capsys):
+    # With no time at all nothing is proved: every instance within the cap
+    # still gets a row, with its greedy lower bound.
+    rows = _probe_rows(capsys, _load("regime_probe"), kmax=3, overshoot=2, budget=0.0, vertex_cap=600)
+    assert set(rows) == _probe_triples(3, 2)
+    for triple, line in rows.items():
+        size = cardinality_v(Params(*triple))
+        if size > 600:
+            assert line.endswith(f"skipped: |V| = {size} is over --vertex-cap 600")
+        else:
+            assert "not proved in 0 s:" in line and line.endswith("<= alpha")
+    assert rows[(10, 3, 1)].endswith("skipped: |V| = 840 is over --vertex-cap 600")
+    assert rows[(8, 3, 2)].split()[4] == ">=230"
+    assert rows[(8, 3, 2)].endswith("not proved in 0 s: 230 <= alpha")
+    assert "<= alpha" in rows[(9, 3, 1)]
+
+def test_regime_probe_prints_proved_rows(capsys):
+    rows = _probe_rows(capsys, _load("regime_probe"), kmax=2, overshoot=2, budget=60.0, vertex_cap=600)
+    assert set(rows) == _probe_triples(2, 2)
+    alphas = {triple: int(line.split()[4]) for triple, line in rows.items()}
+    assert alphas == {(6, 2, 1): 22, (7, 2, 1): 37, (5, 2, 2): 15, (6, 2, 2): 45}
+    assert all(line.endswith("circle value fails past the edge") for line in rows.values())
+
+def test_regime_probe_reports_too_large(capsys, monkeypatch):
+    module = _load("regime_probe")
+
+    def too_large(p, budget):
+        raise TooLarge(f"|V|={cardinality_v(p)} exceeds the vertex cap 5000")
+
+    monkeypatch.setattr(module, "max_antipodal_free", too_large)
+    rows = _probe_rows(capsys, module, kmax=2, overshoot=1, budget=1.0, vertex_cap=600)
+    assert set(rows) == {(6, 2, 1), (5, 2, 2)}
+    assert rows[(6, 2, 1)].endswith("skipped: |V|=60 exceeds the vertex cap 5000")

@@ -188,6 +188,124 @@ def test_solver_matches_brute_on_antipodality_subgraphs(triple, data):
             assert alpha <= size <= lo
 
 
+# ---------------------------------------------------------------- cover bound
+
+def _greedy_cover_bound(adj, mask):
+    """The one-pass greedy matching bound: each vertex paired with its
+    lowest earlier unpaired neighbor, |mask| minus the pairs."""
+    open_m = 0
+    pairs = 0
+    for i in search._bits(mask):
+        cand = adj[i] & open_m
+        if cand:
+            open_m ^= cand & -cand
+            pairs += 1
+        else:
+            open_m |= 1 << i
+    return mask.bit_count() - pairs
+
+
+def _cycle(n):
+    return Graph.from_neighbor_lists(tuple(f"c{i}" for i in range(n)), [[(i - 1) % n, (i + 1) % n] for i in range(n)])
+
+
+def _complete(n):
+    return Graph.from_neighbor_lists(tuple(f"k{i}" for i in range(n)), [[j for j in range(n) if j != i] for i in range(n)])
+
+
+def _union(*graphs):
+    labels, lists = [], []
+    for g in graphs:
+        shift = len(labels)
+        labels += [f"{shift + i}" for i in range(g.n)]
+        lists += [[shift + j for j in row] for row in _neighbor_lists(g)]
+    return Graph.from_neighbor_lists(tuple(labels), lists)
+
+
+_PETERSEN = kneser_graph(5, 2)
+_ODD_CYCLE_GRAPHS = {
+    "C5": _cycle(5),
+    "C7": _cycle(7),
+    "Petersen": _PETERSEN,
+    "K4": _complete(4),
+    "C5+C7": _union(_cycle(5), _cycle(7)),
+    "C5+K4+C5": _union(_cycle(5), _complete(4), _cycle(5)),
+    "Petersen+C5": _union(_PETERSEN, _cycle(5)),
+    "C7+K4+K1": _union(_cycle(7), _complete(4), _complete(1)),
+}
+
+
+def _assert_cover_bound_sound(g):
+    # Every target: at least alpha (the matching is a clique cover), at most
+    # the greedy bound it starts from, and the bound of the full run
+    # unless it stopped early at or below the target.
+    mask = (1 << g.n) - 1
+    alpha = brute_max_independent(_neighbor_lists(g))
+    greedy = _greedy_cover_bound(g.adj, mask)
+    solver = search._Solver(g.adj, float("inf"))
+    full = solver._cover_bound(mask, -1)
+    for target in range(-1, g.n + 1):
+        bound = solver._cover_bound(mask, target)
+        assert alpha <= full <= bound <= greedy
+        if bound > target:
+            assert bound == full
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_CYCLE_GRAPHS))
+def test_cover_bound_sound_on_odd_cycles(name):
+    _assert_cover_bound_sound(_ODD_CYCLE_GRAPHS[name])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cover_bound_sound_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = _random_graph(rng, rng.randrange(1, 15), rng.choice((0.15, 0.3, 0.5)))
+    _assert_cover_bound_sound(g)
+    # Every induced subgraph on a random vertex subset, too.
+    solver = search._Solver(g.adj, float("inf"))
+    for _ in range(5):
+        keep = sorted(rng.sample(range(g.n), rng.randrange(g.n + 1)))
+        sub = sum(1 << i for i in keep)
+        alpha = brute_max_independent(_neighbor_lists(_induced(g, keep)))
+        assert alpha <= solver._cover_bound(sub, -1) <= _greedy_cover_bound(g.adj, sub)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cover_bound_exact_on_bipartite_graphs(seed):
+    # No odd cycles means no blossoms: the alternating BFS then finds a
+    # maximum matching, and |V| - nu = alpha (Koenig and Gallai).
+    rng = random.Random(seed)
+    left, right = rng.randrange(1, 8), rng.randrange(1, 8)
+    lists = [[] for _ in range(left + right)]
+    for i in range(left):
+        for j in range(left, left + right):
+            if rng.random() < 0.35:
+                lists[i].append(j)
+                lists[j].append(i)
+    order = list(range(left + right))
+    rng.shuffle(order)
+    g = _induced(Graph.from_neighbor_lists(tuple(map(str, order)), lists), order)
+    alpha = brute_max_independent(_neighbor_lists(g))
+    assert search._Solver(g.adj, float("inf"))._cover_bound((1 << g.n) - 1, -1) == alpha
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(_ODD_CYCLE_GRAPHS) if "+" in name])
+def test_solver_fail_low_contract_on_unions_of_odd_cycles(name):
+    # As on the antipodality subgraphs: exact above each target, an upper
+    # bound at most the target otherwise, with one memo for every target.
+    g = _ODD_CYCLE_GRAPHS[name]
+    alpha = brute_max_independent(_neighbor_lists(g))
+    assert max_independent_set(g).optimum == alpha
+    solver = search._Solver(g.adj, float("inf"))
+    for lo in range(g.n, -2, -1):
+        size, wit = solver.solve((1 << g.n) - 1, lo)
+        if alpha > lo:
+            assert size == wit.bit_count() == alpha
+            assert all(g.adj[i] & wit == 0 for i in search._bits(wit))
+        else:
+            assert alpha <= size <= lo
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_solver_relabel_invariant_on_antipodality_subgraphs(seed):
     rng = random.Random(seed)
@@ -465,6 +583,15 @@ def test_alpha_frozen(p, alpha):
     result = max_antipodal_free(Params(*p))
     assert result.proof_of_optimality
     assert result.optimum == alpha
+
+
+def test_node_count_ceiling_7_2_1():
+    # The node count of the one-pass greedy matching bound: a bound that
+    # fell back to greedy would need more.
+    result = max_antipodal_free(Params(7, 2, 1))
+    assert result.proof_of_optimality
+    assert result.optimum == 37
+    assert result.nodes_explored <= 1973
 
 
 def test_alpha_trivial_regime_is_everything():
