@@ -2,7 +2,9 @@
 
 Graphs are bit-indexed: the vertex set of a residual subproblem is one
 Python int, and each vertex's neighborhood is a precomputed mask, so set
-algebra is word-parallel.  The solver is a branch and bound that threads
+algebra is word-parallel.  antipodality_graph builds the graph of each
+V(n, k, l) once per process and hands every later caller the same
+immutable Graph.  The solver is a branch and bound that threads
 a target through the recursion (the incumbent pruning of Tomita-Seki
 style maximum-clique solvers).  solve(mask, lo) is exact whenever
 alpha(mask) > lo; otherwise it fails low, returning an upper bound
@@ -24,7 +26,8 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   the target minus the exact sizes already found and the sum of the
   cover bounds of the components still unsolved; once one fails low, so
   does the whole residual;
-* branching: on a maximum-degree vertex (lowest index on ties), include
+* branching: on a maximum-degree vertex (lowest index on ties), taken
+  from the last reduction pass, which sees every degree; include
   branch first against target - 1, then the exclude branch against the
   larger of the target and the include result;
 * memo: exact results and fail-low upper bounds share one dict, keyed by
@@ -32,7 +35,10 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   target, and an exact entry is never replaced by a bound.
 
 At the root the target is the size lo of a min-degree greedy independent
-set: if the search fails low, the greedy set is the proved optimum.
+set: if the search fails low, the greedy set is the proved optimum.  The
+greedy keeps one vertex mask per degree and recounts only the neighbors
+of removed vertices, so it makes at most one degree recount per edge
+instead of recounting every remaining vertex after each pick.
 
 max_antipodal_free adds a symmetric root for full V(n, k, l) with
 n >= 2k.  S_n permutes coordinates, acts transitively on V(n, k, l) and
@@ -71,6 +77,7 @@ it also runs under python -O.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -107,6 +114,7 @@ DEFAULT_BUDGET = 60.0
 DEFAULT_VERTEX_CAP = 5000
 _MEMO_BITS = 48        # memoize residuals at most this large
 _MEMO_ENTRIES = 400000
+_GRAPH_CACHE_ENTRIES = 8  # antipodality graphs kept per process
 
 
 @dataclass(frozen=True)
@@ -136,13 +144,16 @@ class Graph:
 
     @classmethod
     def from_neighbor_lists(cls, labels, neighbor_lists) -> "Graph":
+        labels = tuple(labels)
         masks = []
-        for nbrs in neighbor_lists:
+        for i, nbrs in enumerate(neighbor_lists):
             m = 0
             for j in nbrs:
+                if not isinstance(j, int) or not 0 <= j < len(labels):
+                    raise InvalidParams(f"neighbor {j!r} of vertex {i} is not a vertex index below {len(labels)}")
                 m |= 1 << j
             masks.append(m)
-        return cls(tuple(labels), tuple(masks))
+        return cls(labels, tuple(masks))
 
     @property
     def n(self) -> int:
@@ -218,8 +229,13 @@ class _Solver:
         chosen = 0
         m = mask
         while True:
-            iso = 0
+            # A pass stops at its first leaf; isolated vertices past it stay
+            # isolated for the next pass.  A pass with no leaf has seen every
+            # degree, and dropping isolated vertices changes none, so its
+            # maximum-degree vertex (lowest index on ties) is the branch vertex.
             leaf = -1
+            v = -1
+            best_d = 0
             mm = m
             while mm:
                 lsb = mm & -mm
@@ -227,12 +243,16 @@ class _Solver:
                 mm ^= lsb
                 d = adj[i] & m
                 if d == 0:
-                    iso |= lsb
-                elif leaf < 0 and d & (d - 1) == 0:
+                    chosen |= lsb
+                elif d & (d - 1) == 0:
                     leaf = i
-            if iso:
-                chosen |= iso
-                m &= ~iso
+                    break
+                else:
+                    d = d.bit_count()
+                    if d > best_d:
+                        best_d = d
+                        v = i
+            m &= ~chosen
             if leaf < 0:
                 break
             chosen |= 1 << leaf
@@ -263,7 +283,6 @@ class _Solver:
                 size += s
                 wit |= w
         else:
-            v = self._branch_vertex(m)
             s_in, w_in = self.solve(m & ~self.closed[v], target - 1)
             size = s_in + 1
             wit = w_in | (1 << v)
@@ -308,20 +327,6 @@ class _Solver:
             comps.append(comp)
             rem &= ~comp
         return comps
-
-    def _branch_vertex(self, m: int) -> int:
-        best_v = -1
-        best_d = -1
-        mm = m
-        while mm:
-            lsb = mm & -mm
-            i = lsb.bit_length() - 1
-            mm ^= lsb
-            d = (self.adj[i] & m).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = i
-        return best_v
 
     def _cover_bound(self, mask: int, target: int) -> int:
         """Clique-cover upper bound |mask| - |M| for a matching M of the
@@ -392,22 +397,43 @@ class _Solver:
 
 
 def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
-    """Min-degree greedy independent set in the vertex mask m: a target and the budget fallback."""
+    """Min-degree greedy independent set in the vertex mask m: a target and the budget fallback.
+
+    Each pick is the lowest-index vertex of minimum degree in what is left.
+    Degrees are kept per vertex with one vertex mask per degree, and a pick
+    recounts only the remaining neighbors of the vertices it removes, so a
+    run makes at most one recount per edge.
+    """
+    deg = [0] * len(adj)
+    buckets = [0] * len(adj)  # every degree is below the vertex count
+    for i in _bits(m):
+        deg[i] = (adj[i] & m).bit_count()
+        buckets[deg[i]] |= 1 << i
     chosen = 0
     while m:
-        best_v = -1
-        best_d = len(adj)
-        mm = m
-        while mm:
-            lsb = mm & -mm
+        d = 0
+        while not buckets[d]:
+            d += 1
+        pick = buckets[d] & -buckets[d]
+        chosen |= pick
+        gone = adj[pick.bit_length() - 1] & m | pick
+        m ^= gone
+        touched = 0
+        while gone:
+            lsb = gone & -gone
             i = lsb.bit_length() - 1
-            mm ^= lsb
+            gone ^= lsb
+            buckets[deg[i]] ^= lsb
+            touched |= adj[i]
+        touched &= m
+        while touched:
+            lsb = touched & -touched
+            i = lsb.bit_length() - 1
+            touched ^= lsb
             d = (adj[i] & m).bit_count()
-            if d < best_d:
-                best_d = d
-                best_v = i
-        chosen |= 1 << best_v
-        m &= ~(adj[best_v] | 1 << best_v)
+            buckets[deg[i]] ^= lsb
+            buckets[d] |= lsb
+            deg[i] = d
     return chosen
 
 
@@ -541,11 +567,17 @@ def antipodality_graph(p: Params, max_vertices: int = DEFAULT_VERTEX_CAP) -> Gra
     """V(n, k, l) with an edge per antipodal pair; vertices in canonical order.
 
     Every vertex must end with exactly antipodal_degree(p) neighbours;
-    a mismatch raises RuntimeError.
+    a mismatch raises RuntimeError.  The graph is built once per p and
+    process and then shared: Graph is immutable.
     """
     size = cardinality_v(p)
     if size > max_vertices:
         raise TooLarge(f"|V|={size} exceeds the vertex cap {max_vertices}")
+    return _build_antipodality_graph(p)
+
+
+@functools.lru_cache(maxsize=_GRAPH_CACHE_ENTRIES)
+def _build_antipodality_graph(p: Params) -> Graph:
     fam = enumerate_v(p)
     labels = fam.strings()
     codes = [v.code for v in fam]

@@ -68,6 +68,13 @@ def test_graph_rejects_self_loops():
         Graph.from_neighbor_lists(("a",), [{0}])
 
 
+@pytest.mark.parametrize("lists", [[[-1], []], [[1.0], [0]], [[2], []], [[], ["0"]]])
+def test_graph_rejects_neighbors_that_are_not_vertex_indices(lists):
+    vertex = next(i for i, row in enumerate(lists) if row)
+    with pytest.raises(InvalidParams, match=f"of vertex {vertex} "):
+        Graph.from_neighbor_lists(("a", "b"), lists)
+
+
 def test_antipodality_graph_frozen_4_2_1():
     g = antipodality_graph(Params(4, 2, 1))
     assert g.n == 12
@@ -93,6 +100,18 @@ def test_antipodality_graph_degree_matches_formula():
 def test_antipodality_graph_vertex_cap():
     with pytest.raises(TooLarge):
         antipodality_graph(Params(10, 3, 2), max_vertices=100)
+
+
+def test_antipodality_graph_built_once_per_params():
+    p = Params(7, 2, 1)
+    assert antipodality_graph(p) is antipodality_graph(Params(7, 2, 1))
+
+
+def test_antipodality_graph_vertex_cap_checked_before_the_cache():
+    p = Params(10, 3, 2)
+    assert antipodality_graph(p).n == 2520
+    with pytest.raises(TooLarge):
+        antipodality_graph(p, max_vertices=100)
 
 
 def test_kneser_graph_petersen():
@@ -186,6 +205,57 @@ def test_solver_matches_brute_on_antipodality_subgraphs(triple, data):
             assert size == wit.bit_count() == alpha
         else:
             assert alpha <= size <= lo
+
+
+# ---------------------------------------------------------------- greedy target
+
+def _quadratic_greedy_mask(adj, m):
+    """The reference greedy: recount the degree of every remaining vertex
+    before each pick, take the lowest-index vertex of minimum degree and
+    drop its closed neighborhood."""
+    chosen = 0
+    while m:
+        best_v = -1
+        best_d = len(adj)
+        mm = m
+        while mm:
+            lsb = mm & -mm
+            i = lsb.bit_length() - 1
+            mm ^= lsb
+            d = (adj[i] & m).bit_count()
+            if d < best_d:
+                best_d = d
+                best_v = i
+        chosen |= 1 << best_v
+        m &= ~(adj[best_v] | 1 << best_v)
+    return chosen
+
+
+_GREEDY_TRIPLES = [
+    (n, k, l)
+    for n in range(2, 9)
+    for k in range(1, n)
+    for l in range(1, k + 1)
+    if k + l <= n and cardinality_v(Params(n, k, l)) <= 600
+]
+
+
+@pytest.mark.parametrize("triple", _GREEDY_TRIPLES)
+def test_greedy_matches_quadratic_reference_on_antipodality_graphs(triple):
+    g = antipodality_graph(Params(*triple))
+    everything = (1 << g.n) - 1
+    assert search._greedy_mask(g.adj, everything) == _quadratic_greedy_mask(g.adj, everything)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_matches_quadratic_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = _random_graph(rng, rng.randrange(1, 40), rng.choice((0.05, 0.15, 0.3, 0.6)))
+    for _ in range(5):
+        mask = rng.getrandbits(g.n)
+        greedy = search._greedy_mask(g.adj, mask)
+        assert greedy == _quadratic_greedy_mask(g.adj, mask)
+        assert greedy & ~mask == 0 and search._is_independent(g.adj, greedy)
 
 
 # ---------------------------------------------------------------- cover bound
@@ -592,6 +662,16 @@ def test_node_count_ceiling_7_2_1():
     assert result.proof_of_optimality
     assert result.optimum == 37
     assert result.nodes_explored <= 1973
+
+
+def test_node_count_ceiling_8_2_1():
+    # 4,939 nodes is the count when every node branches on a maximum-degree
+    # vertex, lowest index on ties; the reduction scan that picks it must
+    # keep that choice.
+    result = max_antipodal_free(Params(8, 2, 1))
+    assert result.proof_of_optimality
+    assert result.optimum == 58
+    assert result.nodes_explored <= 4939
 
 
 def test_alpha_trivial_regime_is_everything():
