@@ -32,7 +32,6 @@ from .constructions import (
 )
 from .errors import (
     AntipodalError,
-    AntipodalInput,
     BadCharacter,
     BadPair,
     BadT,

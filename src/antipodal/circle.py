@@ -44,7 +44,7 @@ from .constructions import Permutation, apply_permutation, circle_family
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
 from .search import disjointness_graph, max_independent_set
 from .theorem1 import Violation, antipodal_free_precheck
-from .vectors import Params, VectorFamily
+from .vectors import VectorFamily
 
 __all__ = [
     "CircleReport",
@@ -108,10 +108,10 @@ class CircleReport:
         }
 
 
-def _member_getters(p: Params) -> list[itemgetter]:
-    """Per member of H, an itemgetter of the entries of a bit table (see
-    _bit_table) at the set bits of its code: its plus then minus entries."""
-    return [itemgetter(*(j for j in range(2 * p.n) if v.code >> j & 1)) for v in circle_family(p)]
+def _member_getters(h: VectorFamily) -> list[itemgetter]:
+    """Per member of the circle family h, an itemgetter of a bit table's
+    entries (see _bit_table) at its code's set bits: plus, then minus."""
+    return [itemgetter(*(j for j in range(2 * h.params.n) if v.code >> j & 1)) for v in h]
 
 
 def _bit_table(image, n: int) -> list[int]:
@@ -132,7 +132,7 @@ def lemma3_count(fam: VectorFamily, sigma: Permutation) -> int:
     p = fam.params
     if sigma.n != p.n:
         raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={p.n}")
-    return _count(_bit_table(sigma.image, p.n), _member_getters(p), fam.codes)
+    return _count(_bit_table(sigma.image, p.n), _member_getters(circle_family(p)), fam.codes)
 
 
 def lemma3_sweep(
@@ -153,13 +153,13 @@ def lemma3_sweep(
     if samples < 0:
         raise InvalidParams(f"sample count must be >= 0, got {samples}")
     p = fam.params
-    getters = _member_getters(p)
+    h = circle_family(p)
+    getters = _member_getters(h)
     hist: dict[int, int] = {}
     if exhaustive:
         if p.n > _EXHAUSTIVE_CAP:
             raise TooLarge(f"exhaustive sweep capped at n <= {_EXHAUSTIVE_CAP}, got n={p.n}")
         # The coset quotient below is exact only if rotation maps H onto itself.
-        h = circle_family(p)
         if apply_permutation(h, Permutation((*range(2, p.n + 1), 1))).codes != h.codes:
             raise RuntimeError(f"circle family at {(p.n, p.k, p.l)} is not rotation-invariant")
         # Bit tables of the permutations fixing 1: the plus and minus halves

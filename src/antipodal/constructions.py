@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, RegimeError
+from .errors import DimensionMismatch, InvalidParams, RegimeError
 from .vectors import Params, VectorFamily, enumerate_v
 
 __all__ = [
@@ -47,7 +47,7 @@ class Permutation:
 
     def __post_init__(self) -> None:
         if sorted(self.image) != list(range(1, len(self.image) + 1)):
-            raise ValueError(f"not a bijection on [1..{len(self.image)}]: {self.image}")
+            raise InvalidParams(f"not a bijection on [1..{len(self.image)}]: {self.image}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

@@ -4,7 +4,8 @@ Every error raised deliberately by this package derives from
 :class:`AntipodalError`, so callers (in particular the CLI) can map the
 whole family onto a single "bad input / wrong regime" exit path.
 Mathematical violations discovered by the verifiers are *not* errors;
-they are returned as data inside report objects.
+they are returned as data inside report objects.  A RuntimeError marks
+an internal fault (a failed self-check), never bad input.
 """
 
 
@@ -58,7 +59,3 @@ class BadPair(AntipodalError, ValueError):
 
 class BadT(AntipodalError, ValueError):
     """Support set has the wrong cardinality."""
-
-
-class AntipodalInput(AntipodalError, ValueError):
-    """A family assumed antipodal-free contains an antipodal pair."""

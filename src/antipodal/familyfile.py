@@ -108,4 +108,4 @@ def save_family(fam: VectorFamily, path: str | Path, fmt: str = "text") -> None:
     elif fmt == "json":
         Path(path).write_text(family_to_json(fam))
     else:
-        raise ValueError(f"unknown family format {fmt!r} (want 'text' or 'json')")
+        raise InvalidParams(f"unknown family format {fmt!r} (want 'text' or 'json')")

@@ -20,8 +20,9 @@ behind theorem1_bound:
    l-uniform family, hence at most C(k+l-1, l-1) of them.
 4. certify_theorem1: summing stage 3 over T gives
    |F'| <= C(n,k+l) C(k+l-1,l-1) and, with the accounting bound,
-   |F| <= theorem1_bound(p).  It runs the antipodal-free precheck
-   (antipodal_free_precheck) first, since the stages assume it.
+   |F| <= theorem1_bound(p).  It runs the antipodal-free precheck, then
+   stages 2 and 3 and the two caps, but not stage 1: its violations are
+   exactly the antipodal pairs, which the precheck has excluded.
 
 Violations discovered at any stage are collected in the report, never
 raised; an empty violation list certifies every inequality above.
@@ -128,14 +129,18 @@ class TraceReport:
         }
 
 
+def _check_indices(p: Params, indices: Iterable) -> None:
+    for i in indices:
+        if not (isinstance(i, int) and 1 <= i <= p.n):
+            raise RangeError(f"index {i!r} outside [1..{p.n}]")
+
+
 def _check_pair(p: Params, a: frozenset[int], b: frozenset[int]) -> None:
     if len(a) != p.l or len(b) != p.l:
         raise BadPair(f"index sets must both have size l={p.l}, got {len(a)} and {len(b)}")
     if a & b:
         raise BadPair(f"index sets overlap in {sorted(a & b)}")
-    for i in a | b:
-        if not 1 <= i <= p.n:
-            raise RangeError(f"index {i} outside [1..{p.n}]")
+    _check_indices(p, a | b)
 
 
 def _slices(fam: VectorFamily) -> dict[tuple[int, int], list[SignedVector]]:
@@ -250,9 +255,7 @@ def family_b(fam: VectorFamily, t: Iterable[int]) -> SetFamily:
     t = frozenset(t)
     if len(t) != p.k + p.l:
         raise BadT(f"support set must have size k+l={p.k + p.l}, got {len(t)}")
-    for i in t:
-        if not 1 <= i <= p.n:
-            raise RangeError(f"index {i} outside [1..{p.n}]")
+    _check_indices(p, t)
     t_mask, full = sum(1 << (i - 1) for i in t), (1 << p.n) - 1
     return SetFamily(p.n, p.l, [v.minus for v in fam if (v.code | v.code >> p.n) & full == t_mask])
 
@@ -312,19 +315,17 @@ def antipodal_free_precheck(fam: VectorFamily) -> list[Violation]:
 def certify_theorem1(fam: VectorFamily) -> TraceReport:
     """Run the full pipeline and certify |F| <= theorem1_bound(p).
 
-    Stops after the antipodal-free precheck if it fails (the remaining
-    stages assume it).  Otherwise aggregates the lemma1 violations, the
-    lemma2 report (deletion trace, per-support intersecting families
-    with their EKR cap), and the final two inequalities.
+    Stops after the antipodal-free precheck if it fails; lemma1_check,
+    whose violations are exactly the antipodal pairs, is not re-run.
+    Otherwise returns the lemma2 report (deletion trace, per-support
+    EKR-capped intersecting families) plus the final two inequalities.
     """
     p = fam.params
     precheck = antipodal_free_precheck(fam)
     if precheck:
         return TraceReport(family_size=len(fam), violations=precheck)
 
-    lemma1_violations = lemma1_check(fam).violations
     report = lemma2_check(fam)
-    report.violations[:0] = lemma1_violations
 
     survivor_cap = choose(p.n, p.k + p.l) * choose(p.k + p.l - 1, p.l - 1)
     if report.survivor_size > survivor_cap:

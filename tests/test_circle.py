@@ -136,6 +136,21 @@ def test_exhaustive_sweep_checks_rotation_invariance(monkeypatch):
         double_count_check(enumerate_v(p), exhaustive=True)
 
 
+def test_sweep_builds_the_circle_family_once(monkeypatch):
+    built = []
+
+    def counted(p):
+        built.append(p)
+        return circle_family(p)
+
+    monkeypatch.setattr(circle, "circle_family", counted)
+    p = Params(6, 2, 1)
+    for exhaustive in (True, False):
+        built.clear()
+        lemma3_sweep(example2(p), exhaustive=exhaustive, samples=5)
+        assert built == [p]
+
+
 def test_lemma3_refuses_huge_exhaustive():
     p = Params(9, 4, 1)
     with pytest.raises(TooLarge):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from antipodal import (
     DimensionMismatch,
+    InvalidParams,
     Params,
     Permutation,
     RegimeError,
@@ -153,7 +154,7 @@ def test_permutation_frozen_transposition():
 
 
 def test_permutation_validates_bijection():
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidParams):
         Permutation((1, 1, 2))
 
 

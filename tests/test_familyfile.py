@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
-    AntipodalInput,
     BadCharacter,
     DimensionMismatch,
     EmptyInput,
@@ -58,7 +57,7 @@ def test_text_rejects_garbage():
 
 
 def test_text_rejects_vector_against_header():
-    with pytest.raises((DimensionMismatch, AntipodalInput)):
+    with pytest.raises(DimensionMismatch):
         family_from_text("V 4 2 1\n++-00\n")
 
 
@@ -109,6 +108,8 @@ def test_save_load_sniffs_format(tmp_path):
         back = load_family(path)
         assert back.params == fam.params
         assert back.strings() == fam.strings()
+    with pytest.raises(InvalidParams, match="yaml"):
+        save_family(fam, tmp_path / "fam.yaml", fmt="yaml")
 
 
 @given(st.sampled_from(VALID_PARAMS), st.data())

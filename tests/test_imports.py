@@ -1,4 +1,5 @@
-"""Module layout: package-internal imports are public and at top level."""
+"""Module layout: package-internal imports are public and at top level,
+and every deliberate raise names a class of the error taxonomy."""
 
 import ast
 from pathlib import Path
@@ -35,4 +36,38 @@ def test_internal_imports_are_public_and_top_level():
             for name in names:
                 if name.split(".")[-1].startswith("_"):
                     problems.append(f"{where}: imports private name {name}")
+    assert not problems, "\n".join(problems)
+
+
+def _raises(node: ast.AST, func: str | None = None):
+    """(raise node, name of its innermost enclosing function) at any depth."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield child, func
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _raises(child, inner)
+
+
+def _raised_name(exc: ast.expr) -> str:
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+
+
+def test_deliberate_raises_use_the_taxonomy():
+    # errors.py classes for bad input; RuntimeError for self-check faults;
+    # the solver's private timeout; KeyError only from __getitem__.
+    errors = ast.parse((_SRC / "errors.py").read_text())
+    allowed = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    allowed |= {"RuntimeError", "_OutOfTime"}
+    problems = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node, func in _raises(ast.parse(path.read_text(), filename=str(path))):
+            if node.exc is None:  # bare re-raise
+                continue
+            name = _raised_name(node.exc)
+            if name not in allowed and not (name == "KeyError" and func == "__getitem__"):
+                problems.append(f"{path.name}:{node.lineno}: raises {name}")
     assert not problems, "\n".join(problems)

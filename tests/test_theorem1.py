@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from antipodal import (
     example1,
     example2,
     family_b,
+    format_vector,
+    is_antipodal,
     lemma1_check,
     lemma2_check,
     subfamily,
@@ -29,6 +32,7 @@ from antipodal import (
     theorem2_certify,
 )
 
+from antipodal import theorem1
 from _brute import brute_deletion, brute_family_b, brute_lemma1, brute_subfamily
 
 PIPELINE_PARAMS = [
@@ -58,6 +62,8 @@ def test_subfamily_rejects_bad_pairs():
         subfamily(fam, {1}, {1})  # not disjoint
     with pytest.raises(RangeError):
         subfamily(fam, {9}, {1})
+    with pytest.raises(RangeError):
+        subfamily(fam, ["x"], [2])  # not an int
 
 
 def test_subfamily_uniformity_is_k_minus_l():
@@ -126,6 +132,62 @@ def test_lemma1_flags_full_v():
     datum = report.violations[0].data
     assert "antipodal_pair" in datum
     assert set(datum) >= {"A", "B", "C", "D"}
+
+
+def _seeded_subfamilies(p: Params, seed: int):
+    """Random subfamilies of V (mostly holding antipodal pairs) and of the
+    two examples (antipodal-free), from random.Random(seed)."""
+    rng = random.Random(seed)
+    for source in (enumerate_v(p), example1(p), example2(p)):
+        members = list(source)
+        for size in (len(members) // 4, len(members) // 2, len(members)):
+            yield VectorFamily(p, rng.sample(members, size))
+
+
+@pytest.mark.parametrize("triple", [(4, 2, 1), (5, 2, 2), (6, 2, 1), (6, 3, 2), (7, 3, 2)], ids=str)
+def test_lemma1_violations_are_exactly_the_antipodal_pairs(triple):
+    # certify_theorem1 skips lemma 1 after the precheck on this fact: one
+    # violation per antipodal pair, and none on an antipodal-free family.
+    p = Params(*triple)
+    pairs = 0
+    for seed in range(3):
+        for fam in _seeded_subfamilies(p, seed):
+            found = Counter(frozenset(v.data["antipodal_pair"]) for v in lemma1_check(fam).violations)
+            members = list(fam)
+            expected = {
+                frozenset((format_vector(v), format_vector(w)))
+                for i, v in enumerate(members)
+                for w in members[i + 1 :]
+                if is_antipodal(v, w, p)
+            }
+            assert set(found) == expected, (triple, seed, len(fam))
+            assert set(found.values()) <= {1}
+            pairs += len(expected)
+    assert pairs  # full V holds antipodal pairs at every triple here
+
+
+def test_certify_builds_the_slices_once_and_skips_lemma1(monkeypatch):
+    calls = Counter()
+    real_slices = theorem1._slices
+
+    def counted_slices(fam):
+        calls["_slices"] += 1
+        return real_slices(fam)
+
+    def no_lemma1(fam):
+        raise AssertionError("certify_theorem1 ran lemma1_check")
+
+    monkeypatch.setattr(theorem1, "_slices", counted_slices)
+    monkeypatch.setattr(theorem1, "lemma1_check", no_lemma1)
+    for triple in ((4, 2, 1), (5, 2, 2), (6, 3, 2), (7, 3, 2)):
+        p = Params(*triple)
+        for build in (example1, example2):
+            calls.clear()
+            assert certify_theorem1(build(p)).ok
+            assert calls["_slices"] == 1, (triple, build.__name__)
+    calls.clear()
+    assert not certify_theorem1(enumerate_v(Params(5, 2, 1))).ok
+    assert calls["_slices"] == 0  # the precheck stops an antipodal input
 
 
 def test_lemma1_reconstruction_is_antipodal():
@@ -201,6 +263,8 @@ def test_family_b_validates_t():
         family_b(fam, {1, 2})
     with pytest.raises(RangeError):
         family_b(fam, {1, 2, 9})
+    with pytest.raises(RangeError):
+        family_b(fam, ["a", "b", "c"])  # not ints
 
 
 # ---------------------------------------------------------------- certify
