@@ -22,7 +22,7 @@ from .circle import double_count_check, lemma3_sweep, theorem2_certify
 from .constructions import circle_family, example1, example2
 from .errors import AntipodalError, InvalidParams, RegimeError, TooLarge
 from .familyfile import family_to_json, family_to_text, load_family, save_family
-from .search import max_antipodal_free, max_intersecting
+from .search import DEFAULT_BUDGET, max_antipodal_free, max_intersecting
 from .setfamilies import verify_prop1_exhaustive
 from .theorem1 import antipodal_free_precheck, certify_theorem1, lemma1_check, lemma2_check
 from .vectors import Params, VectorFamily, enumerate_v, parse_vector
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         lp = vsub.add_parser(
             check,
             help=(
-                "slice cross-intersection over all disjoint pairs"
+                "antipodal-free precheck, then |F(A,B)| for every ordered disjoint pair"
                 if check == "lemma1"
                 else "post-deletion per-support intersecting families"
             ),
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p = sub.add_parser("search", help="exact maximum via branch and bound")
     search_p.add_argument("params", type=int, nargs="+", help="n k l (or n k with --kneser)")
     search_p.add_argument("--kneser", action="store_true", help="max intersecting k-family over [n]")
-    search_p.add_argument("--budget", type=float, default=60.0, metavar="SECS")
+    search_p.add_argument("--budget", type=float, default=DEFAULT_BUDGET, metavar="SECS")
     search_p.add_argument("--witness", metavar="FILE", help="write the witness family to FILE")
     search_p.add_argument("--json", action="store_true")
     search_p.set_defaults(func=_cmd_search)
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table_p = sub.add_parser("table", help="bounds vs exact optimum over a parameter sweep")
     table_p.add_argument("nmax", type=int)
     table_p.add_argument("kmax", type=int)
-    table_p.add_argument("--budget", type=float, default=60.0, metavar="SECS")
+    table_p.add_argument("--budget", type=float, default=DEFAULT_BUDGET, metavar="SECS")
     table_p.add_argument("--json", action="store_true")
     table_p.set_defaults(func=_cmd_table)
 
@@ -207,6 +207,9 @@ def _cmd_lemma12(args) -> int:
         print(f"violation [{v.stage}]: {v.message} {', '.join(v.data['pair'])}")
         return 1
     if args.check_name == "lemma1":
+        # A lemma-1 violation is an antipodal pair, so past the precheck
+        # lemma 1 holds by its proof; this stage reports |F(A,B)| for
+        # every ordered disjoint pair (in the --trace output).
         report = lemma1_check(fam)
         print(f"family size: {report.family_size}")
         print(f"disjoint pairs checked: {len(report.pair_counts)}")

@@ -102,10 +102,6 @@ def load_family(path: str | Path) -> VectorFamily:
     return family_from_text(text)
 
 
-def save_family(fam: VectorFamily, path: str | Path, fmt: str = "text") -> None:
-    if fmt == "text":
-        Path(path).write_text(family_to_text(fam))
-    elif fmt == "json":
-        Path(path).write_text(family_to_json(fam))
-    else:
-        raise InvalidParams(f"unknown family format {fmt!r} (want 'text' or 'json')")
+def save_family(fam: VectorFamily, path: str | Path) -> None:
+    """Write fam to path in the text format; family_to_json gives JSON."""
+    Path(path).write_text(family_to_text(fam))

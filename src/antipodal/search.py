@@ -111,7 +111,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 60.0
-DEFAULT_VERTEX_CAP = 5000
+VERTEX_CAP = 5000
 _MEMO_BITS = 48        # memoize residuals at most this large
 _MEMO_ENTRIES = 400000
 _GRAPH_CACHE_ENTRIES = 8  # antipodality graphs kept per process
@@ -563,21 +563,18 @@ def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResul
     return _search(g, _deadline(budget))
 
 
-def antipodality_graph(p: Params, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
+@functools.lru_cache(maxsize=_GRAPH_CACHE_ENTRIES)
+def antipodality_graph(p: Params) -> Graph:
     """V(n, k, l) with an edge per antipodal pair; vertices in canonical order.
 
-    Every vertex must end with exactly antipodal_degree(p) neighbours;
-    a mismatch raises RuntimeError.  The graph is built once per p and
-    process and then shared: Graph is immutable.
+    Raises TooLarge when |V| exceeds VERTEX_CAP.  Every vertex must end
+    with exactly antipodal_degree(p) neighbours; a mismatch raises
+    RuntimeError.  The graph is built once per p and process and then
+    shared: Graph is immutable.
     """
     size = cardinality_v(p)
-    if size > max_vertices:
-        raise TooLarge(f"|V|={size} exceeds the vertex cap {max_vertices}")
-    return _build_antipodality_graph(p)
-
-
-@functools.lru_cache(maxsize=_GRAPH_CACHE_ENTRIES)
-def _build_antipodality_graph(p: Params) -> Graph:
+    if size > VERTEX_CAP:
+        raise TooLarge(f"|V|={size} exceeds the vertex cap {VERTEX_CAP}")
     fam = enumerate_v(p)
     labels = fam.strings()
     codes = [v.code for v in fam]
@@ -609,12 +606,12 @@ def disjointness_graph(sets: Iterable[Iterable[int]]) -> Graph:
     return Graph(labels=labels, adj=tuple(adj))
 
 
-def kneser_graph(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
+def kneser_graph(n: int, k: int) -> Graph:
     """k-subsets of [n] with an edge per disjoint pair, lex vertex order."""
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
-    if math.comb(n, k) > max_vertices:
-        raise TooLarge(f"C({n},{k})={math.comb(n, k)} exceeds the vertex cap {max_vertices}")
+    if math.comb(n, k) > VERTEX_CAP:
+        raise TooLarge(f"C({n},{k})={math.comb(n, k)} exceeds the vertex cap {VERTEX_CAP}")
     return disjointness_graph(combinations(range(1, n + 1), k))
 
 

@@ -60,7 +60,7 @@ def test_theorem2_frozen(p, value):
     assert theorem2_bound(Params(*p)) == value
 
 
-@pytest.mark.parametrize("p", [(9, 3, 1), (6, 2, 1), (3, 1, 1)])
+@pytest.mark.parametrize("p", [(9, 3, 1), (6, 2, 1), (3, 1, 1), (5, 3, 1)])
 def test_theorem2_regime_errors(p):
     with pytest.raises(RegimeError):
         theorem2_bound(Params(*p))
@@ -86,6 +86,8 @@ def test_fk1_regimes():
     assert fk1_bound(6, 2) == 2 * comb(3, 2) + comb(4, 2) + comb(5, 2)
     with pytest.raises(RegimeError):
         fk1_bound(3, 2)
+    with pytest.raises(RegimeError, match="k >= 1"):
+        fk1_bound(8, 0)
 
 
 def test_fk1_closed_form_matches_the_summed_form():
@@ -140,6 +142,8 @@ def test_bound_table_frozen_6_2_2():
     assert t["thm1"].value == 45
     assert not t["thm2"].applicable
     assert not t["fk1"].applicable
+    with pytest.raises(KeyError):
+        t["nope"]
 
 
 def test_bound_table_thm2_regime_note():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
+    DimensionMismatch,
     Params,
     Permutation,
     RegimeError,
@@ -58,6 +59,11 @@ def test_lemma3_negative_control():
     # meets it in all n = 4 members, above the cap k = 2
     p = Params(4, 2, 1)
     assert lemma3_count(enumerate_v(p), Permutation.identity(4)) == 4
+
+
+def test_lemma3_count_needs_matching_n():
+    with pytest.raises(DimensionMismatch):
+        lemma3_count(example2(Params(4, 2, 1)), Permutation.identity(5))
 
 
 def test_lemma3_exhaustive_cap_on_examples():

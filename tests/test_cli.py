@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from antipodal import (
     AntipodalError,
     Params,
+    TooLarge,
     enumerate_v,
     example1,
     example2,
@@ -121,6 +122,16 @@ def test_verify_double_count(capsys):
     assert "sum over sigma: 96" in out
 
 
+@pytest.mark.parametrize("check", ["lemma3", "double-count"])
+def test_verify_family_with_other_params_exit_two(tmp_path, capsys, check):
+    path = tmp_path / "fam.txt"
+    save_family(example2(Params(5, 2, 1)), path)
+    code, out, err = run(capsys, "verify", check, "6", "3", "1", "--family", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: family file has params ")
+
+
 def test_verify_lemma1_and_lemma2(tmp_path, capsys):
     path = tmp_path / "e1.txt"
     save_family(example2(Params(5, 2, 1)), path)
@@ -214,6 +225,13 @@ def test_search_kneser_k_out_of_range_exit_two(capsys, k):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_search_kneser_over_the_vertex_cap_exit_two(capsys):
+    code, out, err = run(capsys, "search", "--kneser", "20", "5")  # C(20,5) = 15,504
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "vertex cap" in err
 
 
 def test_negative_samples_exit_two(capsys):
@@ -355,6 +373,40 @@ def test_table_json(capsys):
     rows = json.loads(out)
     row = next(r for r in rows if (r["n"], r["k"], r["l"]) == (4, 2, 1))
     assert row["alpha"] == 6 and row["exact"] is True
+
+
+def test_table_zero_budget_rows_are_lower_bounds(capsys):
+    code, out, _ = run(capsys, "table", "5", "2", "--budget", "0")
+    assert code == 0
+    rows = out.splitlines()[2:]
+    assert len(rows) == 9
+    assert all(row.split()[9].startswith(">=") for row in rows)
+    code, out, _ = run(capsys, "table", "5", "2", "--budget", "0", "--json")
+    assert code == 0
+    assert all(r["exact"] is False and r["tight"] == [] for r in json.loads(out))
+
+
+def test_table_skips_a_triple_over_the_cap(capsys, monkeypatch):
+    solve = cli.max_antipodal_free
+
+    def too_large_at_4_2_1(p, budget):
+        if p == Params(4, 2, 1):
+            raise TooLarge("|V|=12 exceeds the vertex cap 5000")
+        return solve(p, budget=budget)
+
+    monkeypatch.setattr(cli, "max_antipodal_free", too_large_at_4_2_1)
+    code, out, _ = run(capsys, "table", "4", "2", "--budget", "5")
+    assert code == 0
+    row = next(ln for ln in out.splitlines() if ln.split()[:3] == ["4", "2", "1"])
+    assert row.split()[9] == "skipped"
+    code, out, _ = run(capsys, "table", "4", "2", "--budget", "5", "--json")
+    rows = {(r["n"], r["k"], r["l"]): r for r in json.loads(out)}
+    assert {key: rows[(4, 2, 1)][key] for key in ("alpha", "exact", "tight")} == {
+        "alpha": None,
+        "exact": False,
+        "tight": [],
+    }
+    assert rows[(4, 2, 2)]["alpha"] == 3
 
 
 def test_parser_is_built_once(capsys):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from antipodal import Params, VectorFamily, antipodal_neighbors, enumerate_v, example1, example2
 from antipodal.cli import main
-from antipodal.familyfile import save_family
+from antipodal.familyfile import family_to_json, save_family
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -62,7 +62,7 @@ def write_families(root: Path) -> None:
         p = Params(n, k, l)
         tag = f"{n}-{k}-{l}"
         save_family(example1(p), root / f"ex1-{tag}.txt")
-        save_family(example2(p), root / f"ex2-{tag}.json", fmt="json")
+        (root / f"ex2-{tag}.json").write_text(family_to_json(example2(p)))
         save_family(enumerate_v(p), root / f"V-{tag}.txt")
         if n >= 2 * k:
             save_family(_planted(example2(p)), root / f"anti-{tag}.txt")

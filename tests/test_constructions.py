@@ -164,6 +164,8 @@ def test_permutation_identity_and_compose():
     assert [ident(i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
     assert sigma.compose(ident).image == sigma.image
     assert ident.compose(sigma).image == sigma.image
+    with pytest.raises(DimensionMismatch):
+        sigma.compose(Permutation.identity(5))
 
 
 def test_apply_permutation_needs_matching_n():

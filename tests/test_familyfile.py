@@ -103,13 +103,11 @@ def test_save_load_sniffs_format(tmp_path):
     t = tmp_path / "fam.txt"
     j = tmp_path / "fam.json"
     save_family(fam, t)
-    save_family(fam, j, fmt="json")
+    j.write_text(family_to_json(fam))
     for path in (t, j):
         back = load_family(path)
         assert back.params == fam.params
         assert back.strings() == fam.strings()
-    with pytest.raises(InvalidParams, match="yaml"):
-        save_family(fam, tmp_path / "fam.yaml", fmt="yaml")
 
 
 @given(st.sampled_from(VALID_PARAMS), st.data())

@@ -1,6 +1,7 @@
 """Exact solver: graph model, branch and bound vs brute force, extremal values."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -98,8 +99,12 @@ def test_antipodality_graph_degree_matches_formula():
 
 
 def test_antipodality_graph_vertex_cap():
-    with pytest.raises(TooLarge):
-        antipodality_graph(Params(10, 3, 2), max_vertices=100)
+    p = Params(12, 4, 2)  # |V| = 13,860
+    assert cardinality_v(p) > search.VERTEX_CAP
+    # A second call raises again: a p over the cap is never cached.
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="13860"):
+            antipodality_graph(p)
 
 
 def test_antipodality_graph_built_once_per_params():
@@ -107,11 +112,10 @@ def test_antipodality_graph_built_once_per_params():
     assert antipodality_graph(p) is antipodality_graph(Params(7, 2, 1))
 
 
-def test_antipodality_graph_vertex_cap_checked_before_the_cache():
-    p = Params(10, 3, 2)
-    assert antipodality_graph(p).n == 2520
-    with pytest.raises(TooLarge):
-        antipodality_graph(p, max_vertices=100)
+def test_kneser_graph_vertex_cap():
+    assert math.comb(20, 5) == 15504 > search.VERTEX_CAP
+    with pytest.raises(TooLarge, match="15504"):
+        kneser_graph(20, 5)
 
 
 def test_kneser_graph_petersen():

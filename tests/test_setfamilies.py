@@ -35,6 +35,10 @@ def test_setfamily_validation():
         SetFamily(4, 2, [{0, 1}])  # elements are 1-based
     with pytest.raises(RangeError):
         SetFamily(4, 2, [{4, 5}])
+    with pytest.raises(InvalidParams, match="ground"):
+        SetFamily(0, 1, [])
+    with pytest.raises(InvalidParams, match="uniformity"):
+        SetFamily(3, -1, [])
 
 
 def test_is_intersecting():
@@ -63,6 +67,8 @@ def test_proposition1_preconditions():
     d = SetFamily(5, 3, [{3, 4, 5}])
     with pytest.raises(PreconditionError):
         proposition1_holds(c, d)  # not cross-intersecting
+    with pytest.raises(GroundMismatch):
+        proposition1_holds(c, SetFamily(6, 3, [{1, 2, 3}]))
 
 
 def test_proposition1_star_pair():

@@ -66,7 +66,7 @@ def test_params_accepts_valid():
     assert p.nontrivial_regime and p.circle_regime
 
 
-@pytest.mark.parametrize("bad", [(4, 2, 0), (4, 1, 2), (3, 2, 2), (0, 1, 1), (2, 2, 1)])
+@pytest.mark.parametrize("bad", [(4, 2, 0), (4, 1, 2), (3, 2, 2), (0, 1, 1), (2, 2, 1), (6.0, 2, 1)])
 def test_params_rejects_invalid(bad):
     with pytest.raises(InvalidParams):
         Params(*bad)
