@@ -6,8 +6,8 @@ antipodal-free families and example2 attains it.  This script solves
 instances just past that edge and reports whether the (no longer
 justified) circle value still happens to bound, or even match, the true
 optimum.  Output is evidence, not a theorem check: nothing here asserts.
-Every instance visited gets a row: one over --vertex-cap or too large
-for the solver is marked skipped, and one not proved within --budget
+Every instance visited gets a row: one too large for the solver (over
+search.VERTEX_CAP) is marked skipped, and one not proved within --budget
 shows its lower bound as `lower <= alpha`.
 """
 
@@ -26,7 +26,7 @@ from antipodal import (
 )
 
 
-def probe(kmax: int, overshoot: int, budget: float, vertex_cap: int) -> int:
+def probe(kmax: int, overshoot: int, budget: float) -> int:
     print(f"{'n':>3} {'k':>3} {'l':>3} {'edge':>5} {'alpha':>7} {'k|V|/n':>9} "
           f"{'ex1':>6} {'ex2':>6} {'thm1':>6}  verdict")
     blank = f"{'-':>7} {'-':>9} {'-':>6} {'-':>6} {'-':>6}"
@@ -37,11 +37,7 @@ def probe(kmax: int, overshoot: int, budget: float, vertex_cap: int) -> int:
                 if n < 2 * k or k + l > n:
                     continue
                 p = Params(n, k, l)
-                size = cardinality_v(p)
                 head = f"{n:>3} {k:>3} {l:>3} {edge:>5}"
-                if size > vertex_cap:
-                    print(f"{head} {blank}  skipped: |V| = {size} is over --vertex-cap {vertex_cap}")
-                    continue
                 try:
                     result = max_antipodal_free(p, budget=budget)
                 except TooLarge as exc:
@@ -49,7 +45,7 @@ def probe(kmax: int, overshoot: int, budget: float, vertex_cap: int) -> int:
                     continue
                 alpha = result.optimum
                 alpha_col = str(alpha)
-                circle_value = Fraction(k * size, n)
+                circle_value = Fraction(k * cardinality_v(p), n)
                 if not result.proof_of_optimality:
                     alpha_col = f">={alpha}"
                     verdict = f"not proved in {budget:g} s: {alpha} <= alpha"
@@ -72,9 +68,8 @@ def main() -> int:
     ap.add_argument("--kmax", type=int, default=3)
     ap.add_argument("--overshoot", type=int, default=2, help="how far past 3k-l to probe")
     ap.add_argument("--budget", type=float, default=30.0)
-    ap.add_argument("--vertex-cap", type=int, default=600)
     args = ap.parse_args()
-    return probe(args.kmax, args.overshoot, args.budget, args.vertex_cap)
+    return probe(args.kmax, args.overshoot, args.budget)
 
 
 if __name__ == "__main__":

@@ -97,8 +97,11 @@ class BoundEntry:
 
     name: str
     value: int | None
-    applicable: bool
     note: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     def render(self) -> str:
         if self.applicable:
@@ -126,7 +129,7 @@ class BoundTable:
             "k": p.k,
             "l": p.l,
             "entries": {
-                e.name: (e.value if e.applicable else None) for e in self.entries
+                e.name: e.value for e in self.entries
             },
             "notes": {e.name: e.note for e in self.entries if not e.applicable},
         }
@@ -142,25 +145,25 @@ def bound_table(p: Params) -> BoundTable:
     """
     kl = p.k + p.l
     entries = [
-        BoundEntry("V", cardinality_v(p), True),
-        BoundEntry("example1", choose(p.n, kl) * choose(kl - 1, p.l - 1), True),
-        BoundEntry("example2", choose(p.n - 1, kl - 1) * choose(kl - 1, p.k - 1), True),
-        BoundEntry("thm1", theorem1_bound(p), True),
+        BoundEntry("V", cardinality_v(p)),
+        BoundEntry("example1", choose(p.n, kl) * choose(kl - 1, p.l - 1)),
+        BoundEntry("example2", choose(p.n - 1, kl - 1) * choose(kl - 1, p.k - 1)),
+        BoundEntry("thm1", theorem1_bound(p)),
     ]
     if p.circle_regime:
-        entries.append(BoundEntry("thm2", theorem2_bound(p), True))
+        entries.append(BoundEntry("thm2", theorem2_bound(p)))
     elif p.n < 2 * p.k:
-        entries.append(BoundEntry("thm2", None, False, f"n={p.n} < 2k={2 * p.k}"))
+        entries.append(BoundEntry("thm2", None, f"n={p.n} < 2k={2 * p.k}"))
     else:
-        entries.append(BoundEntry("thm2", None, False, f"n={p.n} > 3k-l={3 * p.k - p.l}"))
+        entries.append(BoundEntry("thm2", None, f"n={p.n} > 3k-l={3 * p.k - p.l}"))
     if p.l != 1:
-        entries.append(BoundEntry("fk1", None, False, f"l={p.l} != 1"))
+        entries.append(BoundEntry("fk1", None, f"l={p.l} != 1"))
     elif p.n < 2 * p.k:
-        entries.append(BoundEntry("fk1", None, False, f"n={p.n} < 2k={2 * p.k}"))
+        entries.append(BoundEntry("fk1", None, f"n={p.n} < 2k={2 * p.k}"))
     else:
-        entries.append(BoundEntry("fk1", fk1_bound(p.n, p.k), True))
+        entries.append(BoundEntry("fk1", fk1_bound(p.n, p.k)))
     if p.n >= 2 * kl:
-        entries.append(BoundEntry("ekr", ekr_bound(p.n, kl), True))
+        entries.append(BoundEntry("ekr", ekr_bound(p.n, kl)))
     else:
-        entries.append(BoundEntry("ekr", None, False, f"n={p.n} < 2(k+l)={2 * kl}"))
+        entries.append(BoundEntry("ekr", None, f"n={p.n} < 2(k+l)={2 * kl}"))
     return BoundTable(p, tuple(entries))

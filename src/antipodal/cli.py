@@ -323,7 +323,7 @@ def _cmd_table(args) -> int:
                 bt = bound_table(p)
                 row: dict = {"n": n, "k": k, "l": l}
                 for e in bt.entries:
-                    row[e.name] = e.value if e.applicable else None
+                    row[e.name] = e.value
                 try:
                     result = max_antipodal_free(p, budget=args.budget)
                     row["alpha"] = result.optimum

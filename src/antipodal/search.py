@@ -14,25 +14,23 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   taken over its neighbor (dominance: swapping the neighbor out for the
   leaf never shrinks an independent set), cascading until the residual
   has minimum degree 2.  The target drops by the number taken;
-* bound: a residual whose clique-cover bound is at most the target
-  fails low at once.  The cover is a matching M plus singletons, so
+* bound: a residual whose cover bound is at most the target fails low
+  at once.  A matching M plus singletons is a clique cover, so
   alpha <= |V_res| - |M| on any graph; on the triangle-free antipodality
   graphs no clique has three vertices, and by Gallai's identity the best
   such cover is |V_res| - nu for a maximum matching nu.  M starts as a
   greedy matching and grows by augmenting paths, found by a BFS over an
   alternating tree without blossom shrinking (it may miss a path, never
-  makes a wrong one), until the bound reaches the target;
-* decomposition: connected components are solved in order, each against
-  the target minus the exact sizes already found and the sum of the
-  cover bounds of the components still unsolved; once one fails low, so
-  does the whole residual;
+  makes a wrong one).  Then odd cycles are charged: an edge between two
+  outer vertices of an unmatched root's tree closes one, and the root
+  with the matched pairs on both tree paths is a set S with
+  alpha(S) <= (|S| - 1) / 2, one less than the matching charges; each
+  such S, disjoint from the others, lowers the bound by 1.  Both stages
+  stop once the bound reaches the target;
 * branching: on a maximum-degree vertex (lowest index on ties), taken
   from the last reduction pass, which sees every degree; include
   branch first against target - 1, then the exclude branch against the
-  larger of the target and the include result;
-* memo: exact results and fail-low upper bounds share one dict, keyed by
-  residual mask.  A bound is reused only when it is at most the caller's
-  target, and an exact entry is never replaced by a bound.
+  larger of the target and the include result.
 
 At the root the target is the size lo of a min-degree greedy independent
 set: if the search fails low, the greedy set is the proved optimum.  The
@@ -64,8 +62,8 @@ automorphisms that move any vertex to any other.  Two facts follow:
 
 If the ratio bound is already at most lo, the greedy set is proved
 optimal without the vertex-0 search.  Each search, V(n-1, k, l) copies
-included, runs on one solver: one memo, node count and deadline.  No
-bound is taken from bounds.py.
+included, runs on one solver: one node count and deadline.  No bound
+is taken from bounds.py.
 
 Runs are deterministic: all scans are in ascending vertex order.  A
 budget (wall-clock seconds, checked on the first node and every 1024th
@@ -112,8 +110,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 60.0
 VERTEX_CAP = 5000
-_MEMO_BITS = 48        # memoize residuals at most this large
-_MEMO_ENTRIES = 400000
 _GRAPH_CACHE_ENTRIES = 8  # antipodality graphs kept per process
 
 
@@ -191,14 +187,13 @@ class _OutOfTime(Exception):
 
 
 class _Solver:
-    __slots__ = ("adj", "closed", "deadline", "nodes", "memo", "mate", "parent")
+    __slots__ = ("adj", "closed", "deadline", "nodes", "mate", "parent")
 
     def __init__(self, adj: tuple[int, ...], deadline: float):
         self.adj = adj
         self.closed = tuple(a | (1 << i) for i, a in enumerate(adj))
         self.deadline = deadline
         self.nodes = 0
-        self.memo: dict[int, tuple[int, int, bool]] = {}
         # Scratch for _cover_bound: an entry is read only after that call set it.
         self.mate = [0] * len(adj)
         self.parent = [0] * len(adj)
@@ -217,14 +212,6 @@ class _Solver:
         with witness 0.
         """
         self.count_node()
-        if mask == 0:
-            return 0, 0
-        hit = self.memo.get(mask)
-        if hit is not None:
-            size, wit, exact = hit
-            if exact or size <= lo:
-                return size, wit
-
         adj = self.adj
         chosen = 0
         m = mask
@@ -261,83 +248,39 @@ class _Solver:
         taken = chosen.bit_count()
         target = lo - taken
         if m == 0:
-            return self._exact(mask, taken, chosen)
+            return taken, chosen
         bound = self._cover_bound(m, target)
         if bound <= target:
-            return self._fail_low(mask, taken + bound)
-
-        comps = self._components(m)
-        if len(comps) > 1:
-            # unsolved bounds the components after the current one by the
-            # sum of their own cover bounds.
-            covers = [self._cover_bound(comp, -1) for comp in comps]
-            unsolved = sum(covers)
-            size = 0
-            wit = 0
-            for comp, cover in zip(comps, covers):
-                unsolved -= cover
-                need = target - size - unsolved
-                s, w = self.solve(comp, need)
-                if s <= need:
-                    return self._fail_low(mask, taken + size + s + unsolved)
-                size += s
-                wit |= w
-        else:
-            s_in, w_in = self.solve(m & ~self.closed[v], target - 1)
-            size = s_in + 1
-            wit = w_in | (1 << v)
-            s_ex, w_ex = self.solve(m & ~(1 << v), max(target, size))
-            if s_ex > size:
-                size, wit = s_ex, w_ex
-            if size <= target:
-                return self._fail_low(mask, taken + size)
-        return self._exact(mask, size + taken, wit | chosen)
-
-    def _exact(self, mask: int, size: int, wit: int) -> tuple[int, int]:
-        self._remember(mask, (size, wit, True))
-        return size, wit
-
-    def _fail_low(self, mask: int, bound: int) -> tuple[int, int]:
-        # Only reached when the memo holds no exact entry for mask, so a
-        # bound never replaces an exact entry.
-        self._remember(mask, (bound, 0, False))
-        return bound, 0
-
-    def _remember(self, mask: int, entry: tuple[int, int, bool]) -> None:
-        if mask.bit_count() <= _MEMO_BITS and len(self.memo) < _MEMO_ENTRIES:
-            self.memo[mask] = entry
-
-    def _components(self, m: int) -> list[int]:
-        comps = []
-        rem = m
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                nxt = 0
-                ff = frontier
-                while ff:
-                    lsb = ff & -ff
-                    i = lsb.bit_length() - 1
-                    ff ^= lsb
-                    nxt |= self.adj[i] & rem
-                nxt &= ~comp
-                comp |= nxt
-                frontier = nxt
-            comps.append(comp)
-            rem &= ~comp
-        return comps
+            return taken + bound, 0
+        s_in, w_in = self.solve(m & ~self.closed[v], target - 1)
+        size = s_in + 1
+        wit = w_in | (1 << v)
+        s_ex, w_ex = self.solve(m & ~(1 << v), max(target, size))
+        if s_ex > size:
+            size, wit = s_ex, w_ex
+        if size <= target:
+            return taken + size, 0
+        return taken + size, wit | chosen
 
     def _cover_bound(self, mask: int, target: int) -> int:
-        """Clique-cover upper bound |mask| - |M| for a matching M of the
-        induced subgraph; each edge of M and each unmatched vertex is a
-        clique.  Returns as soon as the bound is at most target.
+        """Cover upper bound |mask| - |M| - c for a matching M of the
+        induced subgraph and c disjoint odd-cycle sets; each edge of M and
+        each unmatched vertex is a clique.  Returns as soon as the bound is
+        at most target.
 
         M starts greedy: each vertex is paired with its lowest earlier
         unmatched neighbor.  It then grows by augmenting paths, one BFS
         over an alternating tree per unmatched root in ascending order.
         The BFS shrinks no blossoms, so it may miss a path that exists,
         but every path it finds alternates and so gives a larger matching.
+
+        Then each unmatched root grows its tree once more, outside the sets
+        already charged.  An edge between two outer vertices u and w closes
+        an odd cycle (Edmonds' blossom, not shrunk here): the root plus the
+        matched pairs on the tree paths of u and w form a set S, a stem of
+        pairs and that cycle, with alpha(S) <= (|S| - 1) / 2, one less than
+        the cover charges S.  Each such S lowers the bound by 1 (the
+        cycle-cover bound of Akiba and Iwata, 2016).
         """
         adj = self.adj
         mate = self.mate
@@ -391,6 +334,39 @@ class _Solver:
                     y = mate[x]
                     parent[x] = u
                     seen |= xb | 1 << y
+                    nbrs &= ~seen
+                    outer.append(y)
+        # Odd cycles, once augmentation is done: the tree of each free root
+        # grows again outside the sets already charged, until two of its
+        # outer vertices are adjacent.
+        used = 0
+        roots = free
+        while roots and bound > target:
+            root_bit = roots & -roots
+            roots ^= root_bit
+            r = root_bit.bit_length() - 1
+            seen = used | free
+            outer_bits = root_bit
+            outer = [r]
+            for u in outer:
+                hit = adj[u] & outer_bits
+                if hit:
+                    used |= root_bit
+                    for z in (u, (hit & -hit).bit_length() - 1):
+                        while z != r:  # the matched pairs up to the root
+                            x = mate[z]
+                            used |= 1 << z | 1 << x
+                            z = parent[x]
+                    bound -= 1
+                    break
+                nbrs = adj[u] & mask & ~seen
+                while nbrs:
+                    xb = nbrs & -nbrs
+                    x = xb.bit_length() - 1
+                    y = mate[x]
+                    parent[x] = u
+                    seen |= xb | 1 << y
+                    outer_bits |= 1 << y
                     nbrs &= ~seen
                     outer.append(y)
         return bound
@@ -451,8 +427,8 @@ def _is_independent(adj: tuple[int, ...], mask: int) -> bool:
 
 
 def _deadline(budget: float) -> float:
-    if math.isnan(budget):
-        raise InvalidParams("budget must be a number of seconds, got nan")
+    if not budget >= 0:  # also rejects nan
+        raise InvalidParams(f"budget must be a number of seconds >= 0, got {budget}")
     return time.monotonic() + budget
 
 

@@ -146,6 +146,15 @@ def test_bound_table_frozen_6_2_2():
         t["nope"]
 
 
+@pytest.mark.parametrize("triple", [(4, 2, 1), (6, 2, 2), (9, 3, 1)])
+def test_bound_entry_applicable_is_derived_from_value(triple):
+    for e in bound_table(Params(*triple)).entries:
+        assert e.applicable == (e.value is not None)
+        assert e.applicable == (e.note == "")
+        with pytest.raises(AttributeError):
+            e.applicable = not e.applicable
+
+
 def test_bound_table_thm2_regime_note():
     t = bound_table(Params(9, 3, 1))
     assert not t["thm2"].applicable

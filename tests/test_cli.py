@@ -248,6 +248,21 @@ def test_nan_budget_exit_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("search", "5", "2", "1"), ("search", "--kneser", "5", "2"), ("table", "4", "2")])
+def test_negative_budget_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_zero_and_infinite_budget_accepted(capsys):
+    code, out, _ = run(capsys, "search", "5", "2", "1", "--budget", "0")
+    assert code == 0 and "proved optimal: no" in out
+    code, out, _ = run(capsys, "search", "5", "2", "1", "--budget", "inf")
+    assert code == 0 and "proved optimal: yes" in out
+
+
 def test_search_arity_errors(capsys):
     assert run(capsys, "search", "4", "2")[0] == 2
     assert run(capsys, "search", "--kneser", "4", "2", "1")[0] == 2

@@ -30,24 +30,22 @@ def _probe_triples(kmax, overshoot):
         if n >= 2 * k and k + l <= n
     }
 
-def test_regime_probe_reports_skipped_and_unproved_instances(capsys):
-    # With no time at all nothing is proved: every instance within the cap
-    # still gets a row, with its greedy lower bound.
-    rows = _probe_rows(capsys, _load("regime_probe"), kmax=3, overshoot=2, budget=0.0, vertex_cap=600)
+def test_regime_probe_reports_unproved_instances(capsys):
+    # With no time at all nothing is proved: every instance, all within the
+    # solver's vertex cap, still gets a row, with its greedy lower bound.
+    rows = _probe_rows(capsys, _load("regime_probe"), kmax=3, overshoot=2, budget=0.0)
     assert set(rows) == _probe_triples(3, 2)
-    for triple, line in rows.items():
-        size = cardinality_v(Params(*triple))
-        if size > 600:
-            assert line.endswith(f"skipped: |V| = {size} is over --vertex-cap 600")
-        else:
-            assert "not proved in 0 s:" in line and line.endswith("<= alpha")
-    assert rows[(10, 3, 1)].endswith("skipped: |V| = 840 is over --vertex-cap 600")
+    for line in rows.values():
+        assert "not proved in 0 s:" in line and line.endswith("<= alpha")
+    # |V| = 840 and 1,260: rows of their own since the probe has no cap below the solver's.
+    assert rows[(10, 3, 1)].endswith("not proved in 0 s: 252 <= alpha")
+    assert rows[(9, 3, 2)].endswith("not proved in 0 s: 510 <= alpha")
     assert rows[(8, 3, 2)].split()[4] == ">=230"
     assert rows[(8, 3, 2)].endswith("not proved in 0 s: 230 <= alpha")
     assert "<= alpha" in rows[(9, 3, 1)]
 
 def test_regime_probe_prints_proved_rows(capsys):
-    rows = _probe_rows(capsys, _load("regime_probe"), kmax=2, overshoot=2, budget=60.0, vertex_cap=600)
+    rows = _probe_rows(capsys, _load("regime_probe"), kmax=2, overshoot=2, budget=60.0)
     assert set(rows) == _probe_triples(2, 2)
     alphas = {triple: int(line.split()[4]) for triple, line in rows.items()}
     assert alphas == {(6, 2, 1): 22, (7, 2, 1): 37, (5, 2, 2): 15, (6, 2, 2): 45}
@@ -60,6 +58,6 @@ def test_regime_probe_reports_too_large(capsys, monkeypatch):
         raise TooLarge(f"|V|={cardinality_v(p)} exceeds the vertex cap 5000")
 
     monkeypatch.setattr(module, "max_antipodal_free", too_large)
-    rows = _probe_rows(capsys, module, kmax=2, overshoot=1, budget=1.0, vertex_cap=600)
+    rows = _probe_rows(capsys, module, kmax=2, overshoot=1, budget=1.0)
     assert set(rows) == {(6, 2, 1), (5, 2, 2)}
     assert rows[(6, 2, 1)].endswith("skipped: |V|=60 exceeds the vertex cap 5000")
