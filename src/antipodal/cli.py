@@ -6,8 +6,8 @@ errors (malformed or unreadable family files included).  Every
 subcommand is deterministic given its seed flag; output never includes
 wall-clock readings, so identical invocations produce byte-identical
 output.  Everything runs in-process, the exhaustive sweeps included:
---threads is accepted and validated (>= 1) by the sweep commands but
-has no effect at the capped sweep sizes.
+--threads is accepted and checked (>= 1) for every command but has no
+effect at the capped sweep sizes.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise InvalidParams(f"thread count must be >= 1, got {args.threads}")
-
-
 def _emit_family(fam, args) -> int:
     text = family_to_json(fam) if args.json else family_to_text(fam)
     if args.output:
@@ -178,7 +173,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_prop1(args) -> int:
-    _check_threads(args)
     report = verify_prop1_exhaustive(args.m, args.a, args.b)
     print(f"caps: |A| <= {report.cap_a} or |B| <= {report.cap_b}")
     print(f"maximal pairs examined: {report.pairs_examined}")
@@ -230,7 +224,6 @@ def _cmd_lemma3(args) -> int:
     fam = load_family(args.family) if args.family else example2(p)
     if fam.params != p:
         raise InvalidParams(f"family file has params {fam.params}, expected {p}")
-    _check_threads(args)
     report = lemma3_sweep(fam, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
     print(f"permutations checked: {report.sigmas_checked} ({report.mode})")
     print(f"max |H(sigma) cap F|: {report.max_observed} (cap {p.k})")
@@ -246,7 +239,6 @@ def _cmd_double_count(args) -> int:
     fam = load_family(args.family) if args.family else enumerate_v(p)
     if fam.params != p:
         raise InvalidParams(f"family file has params {fam.params}, expected {p}")
-    _check_threads(args)
     report = double_count_check(fam, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
     print(f"permutations checked: {report.sigmas_checked} ({report.mode})")
     if args.exhaustive:
@@ -295,6 +287,9 @@ def _cmd_search(args) -> int:
         p = Params(*args.params)
         result = max_antipodal_free(p, budget=args.budget)
         headline = f"alpha({p.n},{p.k},{p.l}) = {result.optimum}"
+    if args.witness:
+        # Written before anything is printed, so a failed write leaves stdout empty.
+        save_family(VectorFamily(p, (parse_vector(s) for s in result.witness)), args.witness)
     if args.json:
         payload = result.as_dict()
         payload["exact"] = result.proof_of_optimality
@@ -303,9 +298,7 @@ def _cmd_search(args) -> int:
         print(headline + ("" if result.proof_of_optimality else "  (lower bound, budget exhausted)"))
         print(f"proved optimal: {'yes' if result.proof_of_optimality else 'no'}")
         print(f"nodes explored: {result.nodes_explored}")
-    if args.witness and not args.kneser:
-        fam = VectorFamily(p, (parse_vector(s) for s in result.witness))
-        save_family(fam, args.witness)
+    if args.witness:
         print(f"witness written to {args.witness}")
     return 0
 
@@ -376,6 +369,8 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
+        if args.threads < 1:
+            raise InvalidParams(f"thread count must be >= 1, got {args.threads}")
         return args.func(args)
     except (AntipodalError, OSError) as exc:  # OSError: unreadable or unwritable FILE arguments
         print(f"error: {exc}", file=sys.stderr)

@@ -19,14 +19,14 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   alpha <= |V_res| - |M| on any graph; on the triangle-free antipodality
   graphs no clique has three vertices, and by Gallai's identity the best
   such cover is |V_res| - nu for a maximum matching nu.  M starts as a
-  greedy matching and grows by augmenting paths, found by a BFS over an
-  alternating tree without blossom shrinking (it may miss a path, never
-  makes a wrong one).  Then odd cycles are charged: an edge between two
-  outer vertices of an unmatched root's tree closes one, and the root
-  with the matched pairs on both tree paths is a set S with
-  alpha(S) <= (|S| - 1) / 2, one less than the matching charges; each
-  such S, disjoint from the others, lowers the bound by 1.  Both stages
-  stop once the bound reaches the target;
+  greedy matching; then each unmatched root grows one alternating tree,
+  a BFS without blossom shrinking.  The tree either finds an augmenting
+  path (it may miss one, never makes a wrong one) or an edge between
+  two of its outer vertices, an odd cycle: the root with the matched
+  pairs on both tree paths is a set S with alpha(S) <= (|S| - 1) / 2,
+  one less than the matching charges, and each such S, disjoint from
+  the others, lowers the bound by 1.  The roots stop once the bound
+  reaches the target;
 * branching: on a maximum-degree vertex (lowest index on ties), taken
   from the last reduction pass, which sees every degree; include
   branch first against target - 1, then the exclude branch against the
@@ -269,18 +269,26 @@ class _Solver:
         at most target.
 
         M starts greedy: each vertex is paired with its lowest earlier
-        unmatched neighbor.  It then grows by augmenting paths, one BFS
-        over an alternating tree per unmatched root in ascending order.
-        The BFS shrinks no blossoms, so it may miss a path that exists,
-        but every path it finds alternates and so gives a larger matching.
+        unmatched neighbor.  Then each root still unmatched, in ascending
+        order, grows one alternating tree by BFS, outside the sets already
+        charged.  At each outer vertex u, in this order:
 
-        Then each unmatched root grows its tree once more, outside the sets
-        already charged.  An edge between two outer vertices u and w closes
-        an odd cycle (Edmonds' blossom, not shrunk here): the root plus the
-        matched pairs on the tree paths of u and w form a set S, a stem of
-        pairs and that cycle, with alpha(S) <= (|S| - 1) / 2, one less than
-        the cover charges S.  Each such S lowers the bound by 1 (the
-        cycle-cover bound of Akiba and Iwata, 2016).
+        1. an unmatched neighbor of u ends an augmenting path, which is
+           flipped.  The BFS shrinks no blossoms, so it may miss a path
+           that exists, but every path it finds alternates and so gives a
+           larger matching;
+        2. else an outer neighbor w of u closes an odd cycle (Edmonds'
+           blossom, not shrunk here): the root plus the matched pairs on
+           the tree paths of u and w form a set S, a stem of pairs and
+           that cycle, with alpha(S) <= (|S| - 1) / 2, one less than the
+           cover charges S.  S joins the charged sets and lowers the bound
+           by 1 (the cycle-cover bound of Akiba and Iwata, 2016);
+        3. else the tree grows through u's matched neighbors.
+
+        The bound stays sound because no later tree enters a charged S: S
+        holds one unmatched root and whole pairs of M, so no later
+        augmenting path ends at its root or changes its pairs, and S keeps
+        its charge of (|S| - 1) / 2 while the rest is covered by M.
         """
         adj = self.adj
         mate = self.mate
@@ -302,6 +310,7 @@ class _Solver:
         # |mask| - |M|, with |M| = (|mask| - |free|) / 2
         bound = (mask.bit_count() + free.bit_count()) // 2
         parent = self.parent
+        used = 0  # the odd-cycle sets already charged
         roots = free
         while roots and bound > target:
             root_bit = roots & -roots
@@ -309,7 +318,8 @@ class _Solver:
             if not free & root_bit:
                 continue  # matched by an earlier augmenting path
             r = root_bit.bit_length() - 1
-            seen = root_bit
+            seen = used | root_bit
+            outer_bits = root_bit
             outer = [r]
             for u in outer:
                 nbrs = adj[u] & mask & ~seen
@@ -328,27 +338,6 @@ class _Solver:
                         w = nxt
                         u = parent[w]
                     break
-                while nbrs:  # matched neighbors: inner, their mates outer
-                    xb = nbrs & -nbrs
-                    x = xb.bit_length() - 1
-                    y = mate[x]
-                    parent[x] = u
-                    seen |= xb | 1 << y
-                    nbrs &= ~seen
-                    outer.append(y)
-        # Odd cycles, once augmentation is done: the tree of each free root
-        # grows again outside the sets already charged, until two of its
-        # outer vertices are adjacent.
-        used = 0
-        roots = free
-        while roots and bound > target:
-            root_bit = roots & -roots
-            roots ^= root_bit
-            r = root_bit.bit_length() - 1
-            seen = used | free
-            outer_bits = root_bit
-            outer = [r]
-            for u in outer:
                 hit = adj[u] & outer_bits
                 if hit:
                     used |= root_bit
@@ -359,8 +348,7 @@ class _Solver:
                             z = parent[x]
                     bound -= 1
                     break
-                nbrs = adj[u] & mask & ~seen
-                while nbrs:
+                while nbrs:  # matched neighbors: inner, their mates outer
                     xb = nbrs & -nbrs
                     x = xb.bit_length() - 1
                     y = mate[x]

@@ -201,8 +201,17 @@ def test_search_text_and_witness(tmp_path, capsys):
     code, out, _ = run(capsys, "search", "4", "2", "1", "--witness", str(witness))
     assert code == 0
     assert "alpha(4,2,1) = 6" in out
+    assert out.splitlines()[-1] == f"witness written to {witness}"
     fam = load_family(witness)
     assert len(fam) == 6
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_search_witness_write_failure_prints_no_result(tmp_path, capsys, fmt):
+    code, out, err = run(capsys, "search", "5", "2", "1", *fmt, "--witness", str(tmp_path / "absent" / "w.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_search_json(capsys):
@@ -271,6 +280,14 @@ def test_search_arity_errors(capsys):
 def test_threads_flag_validation(capsys):
     code, _, err = run(capsys, "--threads", "0", "verify", "prop1", "4", "2", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("search", "5", "2", "1"), ("bounds", "5", "2", "1")], ids=["search", "bounds"])
+def test_threads_below_one_exit_two_for_every_command(capsys, argv):
+    code, out, err = run(capsys, "--threads", "0", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: thread count must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize(
