@@ -16,7 +16,9 @@ scale:
   |F| <= k |V| / n.
 
 Exhaustive sweeps are capped at n = 8 (40320 permutations); larger n
-must sample.  Sampled runs are deterministic given their seed.
+must sample.  Sampled sweeps are capped at n = 100, because building H
+costs n^2 whatever the family's size.  Sampled runs are deterministic
+given their seed.
 
 An exhaustive sweep evaluates only the (n-1)! coset representatives
 with sigma(1) = 1 and counts each with weight n.  This is exact: the
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_CAP = 8
+_SAMPLED_CAP = 100  # building H and its getters costs n^2, and each sampled sigma n (k + l)
 _DELTA = 1e-9  # false-violation probability of double_count_check's sampled band
 
 
@@ -147,18 +150,19 @@ def lemma3_sweep(
     Pure data collection; the caller decides what counts as a violation.
     Exhaustive mode covers all n! permutations (TooLarge for n > 8) by
     evaluating the (n-1)! with sigma(1) = 1, each with weight n; sampled
-    mode draws `samples` (>= 0) permutations from random.Random(seed) and
-    always adds the identity.
+    mode (TooLarge for n > 100) draws `samples` (>= 0) permutations from
+    random.Random(seed) and always adds the identity.
     """
     if samples < 0:
         raise InvalidParams(f"sample count must be >= 0, got {samples}")
     p = fam.params
+    mode, cap = ("exhaustive", _EXHAUSTIVE_CAP) if exhaustive else ("sample", _SAMPLED_CAP)
+    if p.n > cap:
+        raise TooLarge(f"{mode} sweep capped at n <= {cap}, got n={p.n}")
     h = circle_family(p)
     getters = _member_getters(h)
     hist: dict[int, int] = {}
     if exhaustive:
-        if p.n > _EXHAUSTIVE_CAP:
-            raise TooLarge(f"exhaustive sweep capped at n <= {_EXHAUSTIVE_CAP}, got n={p.n}")
         # The coset quotient below is exact only if rotation maps H onto itself.
         if apply_permutation(h, Permutation((*range(2, p.n + 1), 1))).codes != h.codes:
             raise RuntimeError(f"circle family at {(p.n, p.k, p.l)} is not rotation-invariant")
@@ -171,7 +175,6 @@ def lemma3_sweep(
             c = _count(plus_head + plus_tail + minus_head + minus_tail, getters, fam.codes)
             hist[c] = hist.get(c, 0) + p.n
         checked = math.factorial(p.n)
-        mode = "exhaustive"
         used_seed = None
     else:
         rng = random.Random(seed)
@@ -182,7 +185,6 @@ def lemma3_sweep(
                 rng.shuffle(image)
             c = _count(_bit_table(image, p.n), getters, fam.codes)
             hist[c] = hist.get(c, 0) + 1
-        mode = "sample"
         used_seed = seed
     return CircleReport(
         params=(p.n, p.k, p.l),

@@ -46,11 +46,9 @@ automorphisms that move any vertex to any other.  Two facts follow:
 * ratio bound: for any vertex set H and any independent set S, summing
   |S & sigma(H)| <= alpha(H) over all sigma in S_n counts each vertex of
   S equally often, |H| n! / |V| times, so alpha <= |V| alpha(H) / |H|.
-  The root computes alpha(H) itself, for two H: the n-member circle
+  The root computes alpha(H) itself for one H, the n-member circle
   family (Katona's circle method, behind the paper's theorem 2), solved
-  exactly on its n vertices, and the vectors with coordinate n zero, a
-  copy of V(n-1, k, l) in the same vertex order, whose alpha the same
-  symmetric root solves in place, inside G, against its greedy target;
+  exactly on its n vertices;
 * vertex fixing: an automorphism maps any optimal set to one holding
   vertex 0, so alpha = 1 + alpha(G - N[0]).  The root solves G - N[0]
   against target lo - 1: failing low proves the greedy set optimal.
@@ -61,9 +59,9 @@ automorphisms that move any vertex to any other.  Two facts follow:
   then drop all of O, until every orbit is a single vertex.
 
 If the ratio bound is already at most lo, the greedy set is proved
-optimal without the vertex-0 search.  Each search, V(n-1, k, l) copies
-included, runs on one solver: one node count and deadline.  No bound
-is taken from bounds.py.
+optimal without the vertex-0 search.  The circle family and the orbital
+branching run on one solver: one node count and deadline.  No bound is
+taken from bounds.py.
 
 Runs are deterministic: all scans are in ascending vertex order.  A
 budget (wall-clock seconds, checked on the first node and every 1024th
@@ -436,7 +434,7 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     try:
         if p is not None and p.nontrivial_regime:
             codes = [parse_vector(s).code for s in g.labels]
-            size, wit = _symmetric_solve(solver, codes, p, p.n, everything, lo)
+            size, wit = _symmetric_solve(solver, codes, p, lo)
         else:
             size, wit = solver.solve(everything, lo)
         proved = True
@@ -460,26 +458,17 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     )
 
 
-def _symmetric_solve(
-    solver: _Solver, codes: list[int], p: Params, m: int, mask: int, lo: int
-) -> tuple[int, int]:
-    """solver.solve(mask, lo), where mask holds the vertices of
-    antipodality_graph(p) zero past coordinate m, a copy of V(m, k, l)
-    with m >= 2k: the circle and V(m-1, k, l) ratio bounds, then orbital
-    branching (module docstring).  Same fail-low contract as _Solver.solve."""
-    low = (1 << m) - 1
-    circle = {c & low | c >> m << p.n for c in circle_family(Params(m, p.k, p.l)).codes}
-    h = sum(1 << i for i in _bits(mask) if codes[i] in circle)
-    upper = mask.bit_count() * solver.solve(h, -1)[0] // h.bit_count()
-    if upper > lo and m - 1 >= 2 * p.k:
-        at_m = 1 << (m - 1) | 1 << (p.n + m - 1)  # the plus and minus bits of coordinate m
-        sub = sum(1 << i for i in _bits(mask) if not codes[i] & at_m)
-        target = _greedy_mask(solver.adj, sub).bit_count()
-        size, _ = _symmetric_solve(solver, codes, p, m - 1, sub, target)
-        upper = min(upper, mask.bit_count() * max(size, target) // sub.bit_count())
+def _symmetric_solve(solver: _Solver, codes: list[int], p: Params, lo: int) -> tuple[int, int]:
+    """solver.solve of all of antipodality_graph(p), against target lo:
+    the circle ratio bound, then orbital branching (module docstring).
+    Same fail-low contract as _Solver.solve."""
+    everything = (1 << len(codes)) - 1
+    circle = circle_family(p).codes
+    h = sum(1 << i for i, c in enumerate(codes) if c in circle)
+    upper = len(codes) * solver.solve(h, -1)[0] // h.bit_count()
     if upper <= lo:
         return upper, 0
-    return _orbital_solve(solver, codes, p.n, mask, (low,), lo)
+    return _orbital_solve(solver, codes, p.n, everything, ((1 << p.n) - 1,), lo)
 
 
 def _orbital_solve(

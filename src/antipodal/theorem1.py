@@ -32,7 +32,10 @@ vector codes: it visits each member once and files it under every
 l-subset A of its plus mask, with B its minus mask, so all slices cost
 |F| C(k, l) steps.  lemma1_check then pairs F(A, B) with F(B, A): two
 filed members fold into disjoint (C, D) exactly when their codes share
-no bit, i.e. when they are an antipodal pair.
+no bit, i.e. when they are an antipodal pair.  Both stages also walk
+all C(n, l) C(n - l, l) ordered disjoint l-pairs, a count set by n
+alone; over _PAIR_CAP of them they raise TooLarge before building
+anything, so a header-only file cannot make them run for long.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .bounds import choose, theorem1_bound
-from .errors import BadPair, BadT, RangeError
+from .errors import BadPair, BadT, RangeError, TooLarge
 from .setfamilies import SetFamily, is_intersecting
 from .vectors import (
     Params,
@@ -64,6 +67,7 @@ __all__ = [
     "certify_theorem1",
 ]
 
+_PAIR_CAP = 100_000  # ordered l-pairs walked by lemma1_check and deletion_procedure
 _POLICY = "single pass: thresholds evaluated against the input family, pairs in lex order"
 
 PairKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -159,13 +163,19 @@ def _slices(fam: VectorFamily) -> dict[tuple[int, int], list[SignedVector]]:
 
 def _ordered_pairs(p: Params):
     """All ordered pairs of disjoint l-sets, lexicographic on (A, B): each
-    as its two index tuples and its two bitmasks."""
+    as its two index tuples and its two bitmasks.  Their number grows with
+    n, not with any family, so over _PAIR_CAP of them raise TooLarge
+    before anything is built."""
+    count = choose(p.n, p.l) * choose(p.n - p.l, p.l)
+    if count > _PAIR_CAP:
+        raise TooLarge(f"{count} ordered pairs of disjoint {p.l}-sets exceed the pair cap {_PAIR_CAP}")
     bits = [1 << i for i in range(p.n)]
     index_tuples = {sum(c): tuple(x.bit_length() for x in c) for c in combinations(bits, p.l)}
-    for a_mask, a in index_tuples.items():
-        for b_bits in combinations([x for x in bits if not x & a_mask], p.l):
-            b_mask = sum(b_bits)
-            yield a, index_tuples[b_mask], a_mask, b_mask
+    return (
+        (a, index_tuples[b_mask], a_mask, b_mask)
+        for a_mask, a in index_tuples.items()
+        for b_mask in map(sum, combinations([x for x in bits if not x & a_mask], p.l))
+    )
 
 
 def subfamily(fam: VectorFamily, a: Iterable[int], b: Iterable[int]) -> SetFamily:
@@ -186,9 +196,10 @@ def lemma1_check(fam: VectorFamily) -> TraceReport:
     reported.  Antipodal-free input therefore yields no violations.
     """
     p = fam.params
+    pairs = _ordered_pairs(p)
     report = TraceReport(family_size=len(fam), threshold=choose(p.n - 2 * p.l - 1, p.k - p.l - 1))
     slices = _slices(fam)
-    for a, b, a_mask, b_mask in _ordered_pairs(p):
+    for a, b, a_mask, b_mask in pairs:
         if b < a:  # the unordered pair was handled at (b, a)
             continue
         slice_ab = slices.get((a_mask, b_mask), ())
@@ -221,11 +232,12 @@ def deletion_procedure(fam: VectorFamily) -> tuple[VectorFamily, TraceReport]:
     per-pair deletion charges, and the accounting lower bound on |F'|.
     """
     p = fam.params
+    pairs = _ordered_pairs(p)
     threshold = choose(p.n - 2 * p.l - 1, p.k - p.l - 1)
     report = TraceReport(family_size=len(fam), threshold=threshold)
     slices = _slices(fam)
     doomed: set[int] = set()
-    for a, b, a_mask, b_mask in _ordered_pairs(p):
+    for a, b, a_mask, b_mask in pairs:
         indexed = slices.get((a_mask, b_mask), ())
         report.pair_counts[(a, b)] = len(indexed)
         if len(indexed) <= threshold:

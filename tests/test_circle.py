@@ -163,6 +163,15 @@ def test_lemma3_refuses_huge_exhaustive():
         lemma3_sweep(example2(p), exhaustive=True)
 
 
+def test_lemma3_refuses_huge_sampled(monkeypatch):
+    # H has n members of k + l entries whatever the family, so a sampled
+    # sweep past n = 100 is refused before H is built.
+    monkeypatch.setattr(circle, "circle_family", None)
+    for check in (lemma3_sweep, double_count_check):
+        with pytest.raises(TooLarge, match="n <= 100, got n=101"):
+            check(VectorFamily(Params(101, 34, 1), []))
+
+
 # ---------------------------------------------------------------- cyclic EKR
 
 @pytest.mark.parametrize("nk,value", [((4, 2), 2), ((6, 3), 3), ((7, 3), 3)])

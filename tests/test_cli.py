@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,43 @@ def test_missing_family_file_exit_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def _run_header_only(tmp_path, capsys, header, *argv):
+    """Exit code and stderr of argv on a family file holding only a header,
+    checked to finish within a second and print nothing on stdout."""
+    path = tmp_path / "header.txt"
+    path.write_text(header + "\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--family", str(path))
+    assert time.monotonic() - start < 1.0
+    assert out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("header", ["V 100000 2 2", "V 3000 2 1"])
+@pytest.mark.parametrize("argv", [("certify", "thm1"), ("verify", "lemma1"), ("verify", "lemma2")])
+def test_pair_walk_over_the_cap_exit_two(tmp_path, capsys, header, argv):
+    # The ordered l-pairs grow with the header's n, not with the file.
+    code, err = _run_header_only(tmp_path, capsys, header, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "exceed the pair cap" in err
+
+
+def test_pair_walk_at_the_largest_certify_triple(tmp_path, capsys):
+    # (10,5,3) has C(10,3) C(7,3) = 4,200 ordered pairs, far below the cap.
+    path = tmp_path / "header.txt"
+    path.write_text("V 10 5 3\n")
+    code, out, _ = run(capsys, "verify", "lemma1", "--family", str(path))
+    assert code == 0
+    assert "disjoint pairs checked: 4200\n" in out
+
+
+def test_certify_thm2_over_the_sweep_cap_exit_two(tmp_path, capsys):
+    # Building the circle family of a header's n costs n^2.
+    code, err = _run_header_only(tmp_path, capsys, "V 100000 40000 20000", "certify", "thm2")
+    assert code == 2
+    assert err == "error: sample sweep capped at n <= 100, got n=100000\n"
+
+
 # ---------------------------------------------------------------- exit-code contract
 
 _SEED_FILES = [
@@ -460,3 +498,25 @@ def test_python_dash_m_runs_the_cli(argv, code):
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stdout.splitlines()[0].startswith("alpha(5,2,1) = 12")
+
+
+@pytest.mark.parametrize("family,code", [(None, 0), ("antipodal", 1), ("malformed", 2)])
+def test_python_dash_capital_o_prints_the_same(tmp_path, family, code):
+    # No check relies on assert: under python -O, search and certify thm1
+    # print the same bytes and exit with the same code.
+    save_family(enumerate_v(Params(4, 2, 1)), tmp_path / "antipodal.txt")
+    (tmp_path / "malformed.txt").write_text("V 4 2 1\n++-x\n")
+    if family is None:
+        argv = ["search", "6", "2", "1"]
+    else:
+        argv = ["certify", "thm1", "--family", str(tmp_path / f"{family}.txt")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "antipodal", *argv], capture_output=True, text=True, env=env, timeout=120)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == code, plain.stderr
+    assert plain.stdout == optimized.stdout
+    assert plain.stderr == optimized.stderr

@@ -571,7 +571,7 @@ def test_symmetric_root_zero_budget_returns_greedy(triple):
 
 
 def test_symmetric_root_runs_one_solver(monkeypatch):
-    # (7,2,1) solves its copies of V(6,2,1) and V(5,2,1) in place, so the
+    # (7,2,1) solves its one H, the circle family, inside the graph, so the
     # whole search is one solver on the 105 vertices of V(7,2,1), and
     # nodes_explored is exactly that solver's node count.
     counted = []
@@ -597,7 +597,8 @@ def test_symmetric_root_runs_one_solver(monkeypatch):
 
 @pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1)])
 def test_symmetric_root_builds_one_graph(monkeypatch, triple):
-    # The copies of V(n-1,k,l) are solved inside the graph of V(n,k,l).
+    # The circle family is solved inside the graph of V(n,k,l); no other
+    # graph is built.
     built = []
     build = search.antipodality_graph
 
@@ -658,8 +659,9 @@ def test_orbital_branching_matches_plain_solver(triple):
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (6, 2, 2), (7, 3, 2)])
 def test_last_coordinate_zero_induces_the_smaller_graph(triple):
-    # The V(n-1,k,l) ratio bound needs the vertices with coordinate n zero
-    # to induce a copy of the antipodality graph of V(n-1,k,l).
+    # The ratio inequality with H = V(n-1,k,l) (see the next test) takes H
+    # to be the vertices with coordinate n zero, which must induce a copy
+    # of the antipodality graph of V(n-1,k,l).
     p = Params(*triple)
     g = antipodality_graph(p)
     small = antipodality_graph(Params(p.n - 1, p.k, p.l))
@@ -669,35 +671,30 @@ def test_last_coordinate_zero_induces_the_smaller_graph(triple):
     assert h.adj == small.adj
 
 
-@pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1), (7, 3, 2), (8, 2, 1), (8, 3, 1)])
-def test_copy_of_the_smaller_space_solved_in_place(triple):
-    # The vertices with coordinate n zero, solved by the symmetric root
-    # inside the V(n,k,l) solver against their greedy target, give
-    # alpha(n-1,k,l) as a standalone search proves it.
+def test_ratio_inequality_from_standalone_searches():
+    # alpha(n,k,l) <= |V(n,k,l)| alpha(n-1,k,l) / |V(n-1,k,l)|, read off two
+    # separate searches; no search solves a V(n-1,k,l) copy in place.
+    alpha = {t: max_antipodal_free(Params(*t)) for t in _GREEDY_TRIPLES if t != (8, 3, 2)}
+    assert all(r.proof_of_optimality for r in alpha.values())
+    pairs = [(n, k, l) for n, k, l in alpha if n - 1 >= 2 * k]
+    assert len(pairs) == 19
+    for n, k, l in pairs:
+        ratio = cardinality_v(Params(n, k, l)) * alpha[n - 1, k, l].optimum // cardinality_v(Params(n - 1, k, l))
+        assert alpha[n, k, l].optimum <= ratio
+    # The open (8,3,2): alpha(7,3,2) = 90 puts its upper end at 240, above
+    # the greedy 230.
+    assert (cardinality_v(Params(8, 3, 2)), cardinality_v(Params(7, 3, 2))) == (560, 210)
+    assert 560 * alpha[7, 3, 2].optimum // 210 == 240
+    assert max_antipodal_free(Params(8, 3, 2), budget=0).optimum == 230
+
+
+@pytest.mark.parametrize("triple,circle", [((8, 2, 1), 168), ((8, 3, 2), 280), ((9, 3, 1), 224)])
+def test_ratio_bounds_close_at_their_values(monkeypatch, triple, circle):
+    # Against a target equal to the circle ratio bound, the symmetric root
+    # returns that bound and never branches.
     p = Params(*triple)
     g = antipodality_graph(p)
     codes = [parse_vector(s).code for s in g.labels]
-    copy = sum(1 << i for i, s in enumerate(g.labels) if s.endswith("0"))
-    solver = search._Solver(g.adj, float("inf"))
-    target = search._greedy_mask(g.adj, copy).bit_count()
-    size, wit = search._symmetric_solve(solver, codes, p, p.n - 1, copy, target)
-    assert wit & ~copy == 0
-    if size > target:
-        assert wit.bit_count() == size and all(g.adj[i] & wit == 0 for i in search._bits(wit))
-    assert max(size, target) == max_antipodal_free(Params(p.n - 1, p.k, p.l)).optimum
-
-
-@pytest.mark.parametrize(
-    "triple,circle,smaller", [((8, 2, 1), 168, 59), ((8, 3, 2), 280, 240), ((9, 3, 1), 224, 189)]
-)
-def test_ratio_bounds_close_at_their_values(monkeypatch, triple, circle, smaller):
-    # Against a target equal to a ratio bound, the symmetric root returns
-    # that bound and never branches on the whole space: first the circle
-    # bound, then the lower bound from the copy of V(n-1,k,l).
-    p = Params(*triple)
-    g = antipodality_graph(p)
-    codes = [parse_vector(s).code for s in g.labels]
-    everything = (1 << g.n) - 1
     branched = []
     orbital = search._orbital_solve
 
@@ -706,15 +703,14 @@ def test_ratio_bounds_close_at_their_values(monkeypatch, triple, circle, smaller
         return orbital(solver, codes, n, mask, cells, lo)
 
     monkeypatch.setattr(search, "_orbital_solve", recording)
-    for lo in (circle, smaller):
-        solver = search._Solver(g.adj, float("inf"))
-        assert search._symmetric_solve(solver, codes, p, p.n, everything, lo) == (lo, 0)
-    assert everything not in branched
+    solver = search._Solver(g.adj, float("inf"))
+    assert search._symmetric_solve(solver, codes, p, circle) == (circle, 0)
+    assert not branched
 
 
 def test_symmetric_root_never_reads_closed_form_bounds(monkeypatch):
-    # Vacuous closed forms: the ratio bounds are computed from circle_family
-    # and V(n-1,k,l) by the solver, never looked up in bounds.py.
+    # Vacuous closed forms: the ratio bound is computed from circle_family
+    # by the solver, never looked up in bounds.py.
     for name in ("theorem1_bound", "theorem2_bound"):
         monkeypatch.setattr(search, name, cardinality_v)
     for p, alpha in [((6, 2, 1), 22), ((7, 3, 1), 60), ((7, 3, 2), 90)]:
@@ -751,18 +747,18 @@ def test_node_count_ceiling_7_2_1():
     result = max_antipodal_free(Params(7, 2, 1))
     assert result.proof_of_optimality
     assert result.optimum == 37
-    assert result.nodes_explored <= 219
+    assert result.nodes_explored <= 204
 
 
 def test_node_count_ceiling_8_2_1():
-    # 1,916 nodes is the count when every node branches on a maximum-degree
+    # 1,697 nodes is the count when every node branches on a maximum-degree
     # vertex, lowest index on ties, and the cover bound charges odd cycles
     # in the same tree that looks for augmenting paths; the reduction scan
     # that picks the vertex must keep that choice.
     result = max_antipodal_free(Params(8, 2, 1))
     assert result.proof_of_optimality
     assert result.optimum == 58
-    assert result.nodes_explored <= 1916
+    assert result.nodes_explored <= 1697
 
 
 def test_node_count_ceiling_over_the_proved_instances():
@@ -772,7 +768,7 @@ def test_node_count_ceiling_over_the_proved_instances():
     assert len(proved) == 49
     results = [max_antipodal_free(p) for p in proved]
     assert all(r.proof_of_optimality for r in results)
-    assert sum(r.nodes_explored for r in results) <= 2238
+    assert sum(r.nodes_explored for r in results) <= 1967
 
 
 def test_alpha_trivial_regime_is_everything():

@@ -13,6 +13,7 @@ from antipodal import (
     BadT,
     Params,
     RangeError,
+    TooLarge,
     VectorFamily,
     antipodal_free_precheck,
     antipodal_neighbors,
@@ -222,6 +223,17 @@ def test_deletion_pair_counts_cover_all_ordered_pairs():
     _, report = deletion_procedure(fam)
     assert len(report.pair_counts) == 12  # 4 * 3 ordered disjoint 1-sets
     assert report.pair_counts[((1,), (4,))] == 2
+
+
+def test_pair_walk_over_the_cap_raises_before_building(monkeypatch):
+    # C(3000,1) C(2999,1) ordered pairs: refused by count, before the
+    # l-subsets or the slices are built.
+    monkeypatch.setattr(theorem1, "combinations", None)
+    monkeypatch.setattr(theorem1, "_slices", None)
+    fam = VectorFamily(Params(3000, 2, 1), [])
+    for check in (lemma1_check, deletion_procedure, lemma2_check, certify_theorem1):
+        with pytest.raises(TooLarge, match="8997000 ordered pairs"):
+            check(fam)
 
 
 def test_deletion_accounting_identity():
