@@ -26,9 +26,14 @@ VectorFamily.from_codes.  A VectorFamily indexes its members by code
 The antipodal partners of a code are generated as codes by
 partner_codes: the partner's minus set takes l of the vector's plus
 bits, its plus set is the vector's minus bits plus k - l of its zero
-bits.  find_antipodal_pair tests these codes against the family's code
-set and decodes a vector only for the pair it returns;
-antipodal_neighbors decodes every partner, in the same order.
+bits.  Both come from two lists that depend only on the plus mask (its
+l-subsets, and the (k - l)-subsets of the other n - k bits, filtered
+per member to those that miss its minus bits).  find_antipodal_pair
+builds these lists once per run of members with the same plus mask and
+looks each partner up in an index of the family's plus masks by minus
+mask, so it never builds a partner code; it decodes a vector only for
+the pair it returns.  antipodal_neighbors decodes every partner, in
+partner_codes order.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
     BadCharacter,
@@ -45,6 +50,7 @@ from .errors import (
     InvalidParams,
     OverlapError,
     RangeError,
+    TooLarge,
 )
 
 __all__ = [
@@ -63,6 +69,10 @@ __all__ = [
     "find_antipodal_pair",
     "partner_codes",
 ]
+
+# enumerate_v refuses a V(n, k, l) larger than this: the biggest one any
+# caller enumerates is 2,520, and 200,000 members take about 50 MB.
+_ENUMERATE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -169,20 +179,25 @@ def make_vector(n: int, plus: Iterable[int], minus: Iterable[int]) -> SignedVect
     return SignedVector(n, plus, minus)
 
 
+_NOT_SIGNS = str.maketrans("", "", "+-0")
+_PLUS_DIGITS = bytes.maketrans(b"+-0", b"100")
+_MINUS_DIGITS = bytes.maketrans(b"+-0", b"010")
+
+
 def parse_vector(text: str) -> SignedVector:
-    """Parse a string over {'+', '-', '0'}, one character per coordinate."""
+    """Parse a string over {'+', '-', '0'}, one character per coordinate.
+
+    Each mask is read as a binary numeral of the reversed text (bit
+    i - 1 is character i), after a check that no other character is
+    there: int() would take '_', spaces and non-ASCII digits too."""
     if text == "":
         raise EmptyInput("empty vector text")
-    n = len(text)
-    code = 0
-    for pos, ch in enumerate(text):
-        if ch == "+":
-            code |= 1 << pos
-        elif ch == "-":
-            code |= 1 << (n + pos)
-        elif ch != "0":
-            raise BadCharacter(f"character {ch!r} at position {pos + 1} (want '+', '-' or '0')")
-    return _decode(code, n)
+    if text.translate(_NOT_SIGNS):
+        pos, ch = next((pos, ch) for pos, ch in enumerate(text) if ch not in "+-0")
+        raise BadCharacter(f"character {ch!r} at position {pos + 1} (want '+', '-' or '0')")
+    n, rev = len(text), text.encode()[::-1]
+    plus, minus = int(rev.translate(_PLUS_DIGITS), 2), int(rev.translate(_MINUS_DIGITS), 2)
+    return _decode(plus | minus << n, n)
 
 
 def format_vector(v: SignedVector) -> str:
@@ -201,15 +216,28 @@ def scalar_product(v: SignedVector, w: SignedVector) -> int:
     return (v.code & w.code).bit_count() - (v.code & (w_minus | w_plus << w.n)).bit_count()
 
 
-def _check_conforms(v: SignedVector, p: Params) -> None:
+def _check_conforms(vectors: Iterable[SignedVector], p: Params) -> None:
+    """Raise unless every vector is a member of V(n, k, l)."""
+    n, k, l = p.n, p.k, p.l
+    full = (1 << n) - 1
+    for v in vectors:
+        code = v.code
+        plus, minus = code & full, code >> n
+        if v.n != n or code < 0 or plus & minus or minus >> n or plus.bit_count() != k or minus.bit_count() != l:
+            _raise_nonconforming(v, p)
+
+
+def _raise_nonconforming(v: SignedVector, p: Params) -> NoReturn:
+    """Raise the error for a v that _check_conforms rejects, naming the
+    first test it fails."""
     if v.n != p.n:
         raise DimensionMismatch(f"vector has n={v.n}, params have n={p.n}")
-    plus, minus = v.code & ((1 << p.n) - 1), v.code >> p.n
+    plus, minus = _masks(v)
     if v.code < 0 or plus & minus or minus >> p.n:  # only from_codes can get here
         raise InvalidParams(f"{v.code!r} is not a vector code at n={p.n}")
-    k, l = plus.bit_count(), minus.bit_count()
-    if k != p.k or l != p.l:
-        raise InvalidParams(f"vector has {k} plus / {l} minus entries, params require k={p.k}, l={p.l}")
+    raise InvalidParams(
+        f"vector has {plus.bit_count()} plus / {minus.bit_count()} minus entries, params require k={p.k}, l={p.l}"
+    )
 
 
 def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
@@ -221,8 +249,7 @@ def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
     internal consistency check; for conforming inputs the equivalence is
     a theorem, so the RuntimeError can only fire on a coding error.
     """
-    _check_conforms(v, p)
-    _check_conforms(w, p)
+    _check_conforms((v, w), p)
     by_product = scalar_product(v, w) == -2 * p.l
     (v_plus, v_minus), (w_plus, w_minus) = _masks(v), _masks(w)
     by_containment = not (v_minus & ~w_plus or w_minus & ~v_plus or v_plus & w_plus)
@@ -243,16 +270,14 @@ class VectorFamily:
     __slots__ = ("params", "members", "codes")
 
     def __init__(self, params: Params, members: Iterable[SignedVector]):
-        kept: list[SignedVector] = []
-        seen: set[int] = set()
+        members = list(members)
+        _check_conforms(members, params)
+        kept: dict[int, SignedVector] = {}
         for v in members:
-            _check_conforms(v, params)
-            if v.code not in seen:
-                seen.add(v.code)
-                kept.append(v)
+            kept.setdefault(v.code, v)
         self.params = params
-        self.members: tuple[SignedVector, ...] = tuple(kept)
-        self.codes: frozenset[int] = frozenset(seen)
+        self.members: tuple[SignedVector, ...] = tuple(kept.values())
+        self.codes: frozenset[int] = frozenset(kept)
 
     @classmethod
     def from_codes(cls, params: Params, codes: Iterable[int]) -> "VectorFamily":
@@ -287,8 +312,17 @@ def enumerate_v(p: Params) -> VectorFamily:
     Plus sets are emitted as lexicographically increasing k-tuples; for a
     fixed plus set the minus sets run lexicographically over the
     remaining indices.  The order is the canonical one used for vertex
-    numbering throughout the package.
+    numbering throughout the package.  Over _ENUMERATE_CAP vectors it
+    raises TooLarge before building any, and before any exact count
+    that could be slow: |V| = C(n, k+l) * C(k+l, l) is over the cap if
+    either factor is.
     """
+    if (
+        _comb_exceeds(p.n, p.k + p.l, _ENUMERATE_CAP)
+        or _comb_exceeds(p.k + p.l, p.l, _ENUMERATE_CAP)
+        or (size := cardinality_v(p)) > _ENUMERATE_CAP
+    ):
+        raise TooLarge(f"|V({p.n},{p.k},{p.l})| exceeds the enumeration cap {_ENUMERATE_CAP}")
     bits = [1 << i for i in range(p.n)]
     codes = []
     for plus in combinations(bits, p.k):
@@ -296,9 +330,20 @@ def enumerate_v(p: Params) -> VectorFamily:
         for minus in combinations([b << p.n for b in bits if not b & plus_mask], p.l):
             codes.append(plus_mask | sum(minus))
     fam = VectorFamily.from_codes(p, codes)
-    if len(fam) != cardinality_v(p):
-        raise RuntimeError(f"enumerated {len(fam)} vectors, closed form says {cardinality_v(p)}")
+    if len(fam) != size:
+        raise RuntimeError(f"enumerated {len(fam)} vectors, closed form says {size}")
     return fam
+
+
+def _comb_exceeds(n: int, r: int, bound: int) -> bool:
+    """C(n, r) > bound, in at most about log2(bound) + 1 steps: C(n, j)
+    is at least 2**j for j <= n / 2, and each step is exact."""
+    c = 1
+    for j in range(min(r, n - r)):
+        c = c * (n - j) // (j + 1)
+        if c > bound:
+            return True
+    return c > bound
 
 
 def cardinality_v(p: Params) -> int:
@@ -310,6 +355,27 @@ def cardinality_v(p: Params) -> int:
     return by_placement
 
 
+def _subset_masks(mask: int, r: int) -> list[int]:
+    """The r-subsets of the set bits of mask, as masks, in lexicographic
+    order of their bit positions.  The bits are read off bin(mask), as
+    mask & -mask would give each one the memory of the whole mask."""
+    bits = [1 << i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
+    return [sum(c) for c in combinations(bits, r)]
+
+
+def _partner_lists(plus: int, p: Params) -> tuple[list[int], list[int]]:
+    """What the partners of any member with this plus mask are made of:
+    their minus masks (the l-subsets of plus) and the (k - l)-subsets of
+    the other n - k coordinates, each in lexicographic order."""
+    return _subset_masks(plus, p.l), _subset_masks(((1 << p.n) - 1) ^ plus, p.k - p.l)
+
+
+def _partner_plus(minus: int, off_plus: list[int]) -> list[int]:
+    """The partners' plus masks for a member with this minus mask: its
+    minus bits with each (k - l)-subset of its zeros, in order."""
+    return [minus | z for z in off_plus if not z & minus]
+
+
 def partner_codes(code: int, p: Params) -> Iterator[int]:
     """Codes of the antipodal partners of the member v of V(n, k, l) with
     this code (unchecked), in the order of antipodal_neighbors: the
@@ -317,13 +383,9 @@ def partner_codes(code: int, p: Params) -> Iterator[int]:
     plus(v), and for each its fresh plus positions over the
     (k - l)-subsets of the zeros of v."""
     n = p.n
-    full = (1 << n) - 1
-    plus, minus = code & full, code >> n
-    plus_bits = [1 << i for i in range(n) if plus >> i & 1]
-    zero_bits = [1 << i for i in range(n) if not (plus | minus) >> i & 1]
-    new_minus = [sum(c) << n for c in combinations(plus_bits, p.l)]
-    new_plus = [minus | sum(c) for c in combinations(zero_bits, p.k - p.l)]
-    return (m | q for m in new_minus for q in new_plus)
+    new_minus, off_plus = _partner_lists(code & ((1 << n) - 1), p)
+    new_plus = _partner_plus(code >> n, off_plus)
+    return (m << n | q for m in new_minus for q in new_plus)
 
 
 def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
@@ -336,18 +398,34 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     antipodal w arises exactly once, so the count is antipodal_degree(p).
     The brute-force cross-check lives in the test suite.
     """
-    _check_conforms(v, p)
+    _check_conforms((v,), p)
     return [_decode(c, p.n) for c in partner_codes(v.code, p)]
 
 
 def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
     """The first antipodal pair (v, w) of the family in member order, or
-    None if the family is antipodal-free."""
+    None if the family is antipodal-free.
+
+    w is the first partner of v, in partner_codes order, that is in the
+    family.  The partners are looked up as (minus mask, plus mask) in an
+    index of the family's plus masks by minus mask, so no partner code is
+    built; the two lists of _partner_lists are built once for each run
+    of consecutive members with the same plus mask."""
     p = fam.params
+    n, full = p.n, (1 << p.n) - 1
+    plus_by_minus: dict[int, set[int]] = {}
+    for code in fam.codes:
+        plus_by_minus.setdefault(code >> n, set()).add(code & full)
+    last_plus = None
     for v in fam:
-        for c in partner_codes(v.code, p):
-            if c in fam.codes:
-                return v, _decode(c, p.n)
+        plus, minus = v.code & full, v.code >> n
+        if plus != last_plus:
+            last_plus, (new_minus, off_plus) = plus, _partner_lists(plus, p)
+        new_plus = _partner_plus(minus, off_plus)
+        for m in new_minus:
+            found = plus_by_minus.get(m)
+            if found is not None and not found.isdisjoint(new_plus):
+                return v, _decode(m << n | next(q for q in new_plus if q in found), n)
     return None
 
 

@@ -5,7 +5,8 @@ takes: full 3^n sign-pattern scans instead of combination generators,
 numpy Gram matrices instead of set intersections, and a plain
 include/exclude recursion instead of the production solver, antipodal
 partners, slices and the deletion trace rebuilt from frozensets instead
-of integer vector codes, and a frozenset-backed reference vector.  Slow
+of integer vector codes, a frozenset-backed reference vector, and a
+per-character vector parser.  Slow
 on purpose; keep the inputs tiny.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from antipodal import OverlapError, RangeError, SignedVector
+from antipodal import BadCharacter, OverlapError, RangeError, SignedVector
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -43,6 +44,20 @@ def gram(strings: list[str]) -> np.ndarray:
 def antipodal_pair_counts(strings: list[str], l: int) -> np.ndarray:
     """Per-vector count of partners at scalar product -2l."""
     return (gram(strings) == -2 * l).sum(axis=1)
+
+
+def brute_parse_vector(text: str) -> SignedVector:
+    """The vector a +-0 string spells, read one character at a time into
+    two index sets."""
+    plus, minus = set(), set()
+    for i, ch in enumerate(text, start=1):
+        if ch == "+":
+            plus.add(i)
+        elif ch == "-":
+            minus.add(i)
+        elif ch != "0":
+            raise BadCharacter(f"character {ch!r} at position {i} (want '+', '-' or '0')")
+    return SignedVector(len(text), plus, minus)
 
 
 def brute_antipodal_neighbors(v, p) -> list:

@@ -350,6 +350,32 @@ def test_certify_thm2_over_the_sweep_cap_exit_two(tmp_path, capsys):
     assert err == "error: sample sweep capped at n <= 100, got n=100000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "40", "10", "10"),
+        ("construct", "example1", "40", "10", "10"),
+        ("construct", "example2", "40", "10", "10"),
+        ("verify", "double-count", "40", "10", "10"),
+        ("verify", "lemma3", "60", "25", "10"),
+        # |V| has about 450,000 digits here, and C(n, k+l) alone takes
+        # seconds in the second case; the cap is decided without either.
+        ("enumerate", "1000000", "500000", "250000"),
+        ("enumerate", "1000000", "150000", "1"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_enumeration_over_the_cap_exit_two(capsys, argv):
+    # V(n, k, l) is enumerated from the command line's n, k, l alone.
+    n, k, l = argv[-3:]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: |V({n},{k},{l})| exceeds the enumeration cap 200000\n"
+
+
 # ---------------------------------------------------------------- exit-code contract
 
 _SEED_FILES = [

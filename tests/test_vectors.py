@@ -1,5 +1,9 @@
 """Vector layer: parsing, scalar products, antipodal neighbors."""
 
+import itertools
+import random
+import re
+import tracemalloc
 from math import comb
 
 import pytest
@@ -22,6 +26,8 @@ from antipodal import (
     cardinality_v,
     choose,
     enumerate_v,
+    example1,
+    example2,
     find_antipodal_pair,
     format_vector,
     is_antipodal,
@@ -34,9 +40,11 @@ from _brute import (
     antipodal_pair_counts,
     brute_antipodal_neighbors,
     brute_find_antipodal_pair,
+    brute_parse_vector,
     brute_vector_strings,
     gram,
 )
+from antipodal.vectors import _comb_exceeds
 
 VALID_PARAMS = [
     (n, k, l)
@@ -102,6 +110,39 @@ def test_parse_errors():
         parse_vector("")
     with pytest.raises(BadCharacter):
         parse_vector("+x-")
+
+
+# Each bad character is one that int(text, 2) would accept: a digit, an
+# underscore, an inner or outer space, a fullwidth or Arabic-Indic zero.
+@pytest.mark.parametrize(
+    "text,pos",
+    [("+1-", 2), ("_+-", 1), ("+- 0", 3), ("+-0 ", 4), ("++０-", 3), ("+-٠", 3)],
+)
+def test_parse_bad_character_names_its_position(text, pos):
+    message = f"character {text[pos - 1]!r} at position {pos} (want '+', '-' or '0')"
+    for parse in (parse_vector, brute_parse_vector):
+        with pytest.raises(BadCharacter, match=re.escape(message) + "$"):
+            parse(text)
+
+
+def test_parse_vector_longer_than_the_int_digit_limit():
+    # Binary numerals are exempt from Python's default limit of 4,300
+    # digits for int() on decimal text.
+    text = "".join("+-0"[i * i % 7 % 3] for i in range(5000))
+    assert len(text) > 4300
+    v = parse_vector(text)
+    assert format_vector(v) == text
+    assert v == brute_parse_vector(text)
+
+
+def test_parse_matches_per_character_reader_to_n_8():
+    # Every +-0 string of length <= 8 covers all of V(n, k, l) for n <= 8.
+    for n in range(1, 9):
+        for chars in itertools.product("+-0", repeat=n):
+            text = "".join(chars)
+            v = parse_vector(text)
+            assert v == brute_parse_vector(text), text
+            assert format_vector(v) == text
 
 
 def test_make_vector_errors():
@@ -266,6 +307,77 @@ def test_find_antipodal_pair_matches_oracle(p, data):
     assert find_antipodal_pair(fam) == brute_find_antipodal_pair(fam)
 
 
+# The certify triples of the benchmark: n <= 11 with n >= 2k, |V| <= 2600.
+CERTIFY_TRIPLES = [
+    (n, k, l)
+    for n in range(6, 12)
+    for k in range(2, 5)
+    for l in range(1, k + 1)
+    if k + l <= n and n >= 2 * k and cardinality_v(Params(n, k, l)) <= 2600
+]
+
+
+@pytest.mark.parametrize("triple", CERTIFY_TRIPLES, ids=str)
+def test_find_antipodal_pair_at_certify_scale(triple):
+    p = Params(*triple)
+    for construct in (example1, example2):
+        members = list(construct(p))
+        assert find_antipodal_pair(VectorFamily(p, members)) is None
+        v = members[-1]
+        w = antipodal_neighbors(v, p)[-1]
+        for at in (0, len(members) // 2, len(members)):
+            fam = VectorFamily(p, members[:at] + [w] + members[at:])
+            assert find_antipodal_pair(fam) == brute_find_antipodal_pair(fam)
+
+
+# u = +++--000 and its partner w = --0+++00.  The first member shares
+# u's plus mask on another support, or u's support with another plus
+# mask, and is antipodal to neither, so (u, w) is the first pair; a
+# partner list shared under the wrong mask would miss w.
+@pytest.mark.parametrize("first", ["+++00--0", "--+++000"], ids=["same plus", "same support"])
+def test_find_antipodal_pair_shares_lists_only_by_their_mask(first):
+    u, w = parse_vector("+++--000"), parse_vector("--0+++00")
+    fam = VectorFamily(Params(8, 3, 2), [parse_vector(first), u, w])
+    assert find_antipodal_pair(fam) == brute_find_antipodal_pair(fam) == (u, w)
+
+
+@pytest.mark.parametrize("triple", [(6, 3, 3), (8, 4, 4), (5, 3, 1), (5, 3, 2), (7, 4, 3), (9, 5, 3)], ids=str)
+def test_find_antipodal_pair_on_all_of_v_with_k_equal_l_or_n_below_2k(triple):
+    fam = enumerate_v(Params(*triple))
+    pair = find_antipodal_pair(fam)
+    assert pair == brute_find_antipodal_pair(fam)
+    assert (pair is None) == (fam.params.n < 2 * fam.params.k)
+
+
+def test_find_antipodal_pair_memory_does_not_grow_with_the_family():
+    # 400 random members of V(30, 4, 1), each plus set holding coordinate
+    # 1 (so there is no pair), nearly all with their own plus mask and
+    # support.  Each has C(25, 3) = 2,300 fresh plus choices; holding
+    # them for every member would take some 35 MB.
+    p = Params(30, 4, 1)
+    rng = random.Random(5)
+    codes = set()
+    while len(codes) < 400:
+        plus = [1, *rng.sample(range(2, 31), 3)]
+        minus = rng.choice([i for i in range(2, 31) if i not in plus])
+        codes.add(make_vector(30, plus, [minus]).code)
+    fam = VectorFamily.from_codes(p, codes)
+    tracemalloc.start()
+    try:
+        assert find_antipodal_pair(fam) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_comb_exceeds_is_exact():
+    for n in range(0, 40):
+        for r in range(0, n + 1):
+            for bound in (0, 1, 2, 39, 40, 41, comb(n, r) - 1, comb(n, r), 200_000):
+                assert _comb_exceeds(n, r, bound) == (comb(n, r) > bound), (n, r, bound)
+
+
 def test_antipodality_graph_matches_pairwise_scan():
     for n, k, l in PARAMS_TO_8:
         p = Params(n, k, l)
@@ -371,6 +483,44 @@ def test_family_rejects_nonconforming():
         VectorFamily(p, [parse_vector("++-00")])
     with pytest.raises(InvalidParams):
         VectorFamily(p, [parse_vector("+--0")])
+
+
+_P421 = Params(4, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        (-1, "-1 is not a vector code at n=4"),
+        (0b0001_0011, "19 is not a vector code at n=4"),  # overlap
+        (1 << 8 | 0b11, "259 is not a vector code at n=4"),  # minus past n
+        (parse_vector("+++-").code, "vector has 3 plus / 1 minus entries, params require k=2, l=1"),
+        (parse_vector("++--").code, "vector has 2 plus / 2 minus entries, params require k=2, l=1"),
+        (parse_vector("+-00").code, "vector has 1 plus / 1 minus entries, params require k=2, l=1"),
+    ],
+)
+def test_from_codes_rejects_with_its_message(code, message):
+    good = parse_vector("++-0").code
+    for codes in ([code], [good, code], [code, good]):
+        with pytest.raises(InvalidParams, match=re.escape(message) + "$"):
+            VectorFamily.from_codes(_P421, codes)
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("++-00", DimensionMismatch, "vector has n=5, params have n=4"),
+        ("++-", DimensionMismatch, "vector has n=3, params have n=4"),
+        ("+++-", InvalidParams, "vector has 3 plus / 1 minus entries, params require k=2, l=1"),
+        ("++--", InvalidParams, "vector has 2 plus / 2 minus entries, params require k=2, l=1"),
+        ("+0--", InvalidParams, "vector has 1 plus / 2 minus entries, params require k=2, l=1"),
+    ],
+)
+def test_family_rejects_with_its_message(text, error, message):
+    good = parse_vector("++-0")
+    for members in ([parse_vector(text)], [good, parse_vector(text)], [good, good, parse_vector(text)]):
+        with pytest.raises(error, match=re.escape(message) + "$"):
+            VectorFamily(_P421, members)
 
 
 def test_family_restrict():
