@@ -88,6 +88,7 @@ from .vectors import (
     VectorFamily,
     antipodal_degree,
     antipodal_neighbors,
+    cardinality_exceeds,
     cardinality_v,
     enumerate_v,
     find_antipodal_pair,

@@ -26,17 +26,32 @@ rotation rho(i) = i + 1 (mod n) maps H onto itself, so H(sigma rho) =
 H(sigma), and the image tuple of sigma rho is the image tuple of sigma
 rotated by one place.  The n permutations sigma rho^t therefore share
 one count, and exactly one of them sends 1 to 1.  The sweep checks the
-rotation invariance of H before it relies on it.  Every mode counts
-with one bitmask kernel and runs in-process.  F enters the kernel as
-its set of vector codes (VectorFamily.codes), and a member of H(sigma)
-is counted when the code summed from sigma's bit table lies in that
-set.
+rotation invariance of H before it relies on it.
+
+Every mode runs in-process, and F enters it as its set of vector codes
+(VectorFamily.codes): a member of H(sigma) is counted when its image
+code lies in that set.  Two kernels compute the image codes.
+
+* One permutation at a time (_count), for the sampled mode and
+  lemma3_count: the code of an image member is the sum of its entries in
+  sigma's bit table.
+* Lane-parallel (_lane_histogram), for the exhaustive mode: one Python
+  int holds a 16-bit lane per coset representative, and column t
+  (_lane_columns, cached per n) holds sigma(t)'s plus bit in every lane.
+  A member of H sums its columns, the minus ones shifted by n, which
+  gives its image code in every lane at once; the lanes are then looked
+  up in the code set and their 0/1 results added into one byte per lane.
+  A code of 2n <= 16 bits fills at most one lane, so no lane carries
+  into the next.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import permutations as _iter_permutations
 from operator import itemgetter
@@ -58,6 +73,7 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_CAP = 8
+_LANE = "H"  # the lane kernel's lane type: 16 bits, one code of 2n <= 16 bits
 _SAMPLED_CAP = 100  # building H and its getters costs n^2, and each sampled sigma n (k + l)
 _DELTA = 1e-9  # false-violation probability of double_count_check's sampled band
 
@@ -130,6 +146,39 @@ def _count(table, getters: list[itemgetter], codes: frozenset[int]) -> int:
     return len([g for g in getters if sum(g(table)) in codes])
 
 
+@functools.lru_cache(maxsize=_EXHAUSTIVE_CAP)
+def _lane_columns(n: int) -> tuple[int, ...]:
+    """Columns of the lane kernel for the (n-1)! permutations sigma with
+    sigma(1) = 1, in permutations() order: lane j of column t - 1 (a
+    _LANE-sized field of the int) holds the plus bit 1 << (sigma(t) - 1)
+    of the j-th sigma."""
+    if 2 * n > 8 * array(_LANE).itemsize:
+        raise RuntimeError(f"codes of n={n} need {2 * n} bits, more than one {_LANE!r} lane holds")
+    columns = [array(_LANE, [1]) * math.factorial(n - 1)]
+    for t in range(n - 1):
+        columns.append(array(_LANE, (1 << tail[t] for tail in _iter_permutations(range(1, n)))))
+    return tuple(int.from_bytes(c.tobytes(), sys.byteorder) for c in columns)
+
+
+def _lane_histogram(h: VectorFamily, codes: frozenset[int]) -> dict[int, int]:
+    """Exhaustive histogram of |H(sigma) cap F| over all n! permutations,
+    one pass per member of H over the lanes of _lane_columns."""
+    n = h.params.n
+    columns = _lane_columns(n)
+    lanes = math.factorial(n - 1)
+    # A lane sums distinct bits below 2**(2n), and a lane's count is at
+    # most |H| = n < 256, so neither sum carries into the next lane.
+    total = 0
+    for v in h:
+        plus, minus = v.code & ((1 << n) - 1), v.code >> n
+        image = sum(c for t, c in enumerate(columns) if plus >> t & 1)
+        image += sum(c for t, c in enumerate(columns) if minus >> t & 1) << n
+        lane_codes = memoryview(image.to_bytes(2 * lanes, sys.byteorder)).cast(_LANE)
+        total += int.from_bytes(bytes(map(codes.__contains__, lane_codes)), "little")
+    counts = total.to_bytes(lanes, "little")
+    return {c: m * n for c in range(n + 1) if (m := counts.count(c))}
+
+
 def lemma3_count(fam: VectorFamily, sigma: Permutation) -> int:
     """|H(sigma) cap F| for one permutation."""
     p = fam.params
@@ -160,23 +209,16 @@ def lemma3_sweep(
     if p.n > cap:
         raise TooLarge(f"{mode} sweep capped at n <= {cap}, got n={p.n}")
     h = circle_family(p)
-    getters = _member_getters(h)
-    hist: dict[int, int] = {}
     if exhaustive:
         # The coset quotient below is exact only if rotation maps H onto itself.
         if apply_permutation(h, Permutation((*range(2, p.n + 1), 1))).codes != h.codes:
             raise RuntimeError(f"circle family at {(p.n, p.k, p.l)} is not rotation-invariant")
-        # Bit tables of the permutations fixing 1: the plus and minus halves
-        # run through the same order of images of 2..n in lockstep.
-        plus_bits = [1 << i for i in range(1, p.n)]
-        minus_bits = [b << p.n for b in plus_bits]
-        plus_head, minus_head = (1,), (1 << p.n,)
-        for plus_tail, minus_tail in zip(_iter_permutations(plus_bits), _iter_permutations(minus_bits)):
-            c = _count(plus_head + plus_tail + minus_head + minus_tail, getters, fam.codes)
-            hist[c] = hist.get(c, 0) + p.n
+        hist = _lane_histogram(h, fam.codes)
         checked = math.factorial(p.n)
         used_seed = None
     else:
+        getters = _member_getters(h)
+        hist: dict[int, int] = {}
         rng = random.Random(seed)
         image = list(range(1, p.n + 1))
         checked = samples + 1

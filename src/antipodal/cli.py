@@ -24,7 +24,7 @@ from .errors import AntipodalError, InvalidParams, RegimeError, TooLarge
 from .familyfile import family_to_json, family_to_text, load_family, save_family
 from .search import DEFAULT_BUDGET, max_antipodal_free, max_intersecting
 from .setfamilies import verify_prop1_exhaustive
-from .theorem1 import antipodal_free_precheck, certify_theorem1, lemma1_check, lemma2_check
+from .theorem1 import antipodal_free_precheck, certify_theorem1, check_pair_cap, lemma1_check, lemma2_check
 from .vectors import Params, VectorFamily, enumerate_v, parse_vector
 
 __all__ = ["main"]
@@ -195,6 +195,7 @@ def _verdict(report, passed: str, trace: bool = False) -> int:
 
 def _cmd_lemma12(args) -> int:
     fam = load_family(args.family)
+    check_pair_cap(fam.params)
     precheck = antipodal_free_precheck(fam)
     if precheck:
         v = precheck[0]

@@ -88,7 +88,7 @@ from .vectors import (
     Params,
     VectorFamily,
     antipodal_degree,
-    cardinality_v,
+    cardinality_exceeds,
     enumerate_v,
     find_antipodal_pair,
     parse_vector,
@@ -525,9 +525,8 @@ def antipodality_graph(p: Params) -> Graph:
     RuntimeError.  The graph is built once per p and process and then
     shared: Graph is immutable.
     """
-    size = cardinality_v(p)
-    if size > VERTEX_CAP:
-        raise TooLarge(f"|V|={size} exceeds the vertex cap {VERTEX_CAP}")
+    if cardinality_exceeds(p, VERTEX_CAP):
+        raise TooLarge(f"|V({p.n},{p.k},{p.l})| exceeds the vertex cap {VERTEX_CAP}")
     fam = enumerate_v(p)
     labels = fam.strings()
     codes = [v.code for v in fam]

@@ -51,6 +51,7 @@ from .vectors import (
     Params,
     SignedVector,
     VectorFamily,
+    comb_exceeds,
     find_antipodal_pair,
     format_vector,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "lemma2_check",
     "family_b",
     "antipodal_free_precheck",
+    "check_pair_cap",
     "certify_theorem1",
 ]
 
@@ -161,14 +163,24 @@ def _slices(fam: VectorFamily) -> dict[tuple[int, int], list[SignedVector]]:
     return out
 
 
-def _ordered_pairs(p: Params):
-    """All ordered pairs of disjoint l-sets, lexicographic on (A, B): each
-    as its two index tuples and its two bitmasks.  Their number grows with
-    n, not with any family, so over _PAIR_CAP of them raise TooLarge
-    before anything is built."""
+def check_pair_cap(p: Params) -> None:
+    """TooLarge if the ordered pairs of disjoint l-sets of [n], which
+    lemma1_check and deletion_procedure walk, number over _PAIR_CAP.
+    Their number C(n, l) C(n - l, l) grows with n, not with any family;
+    it is over the cap if either factor is, so a huge n is refused
+    without an exact count, and no pair is built."""
+    if comb_exceeds(p.n, p.l, _PAIR_CAP) or comb_exceeds(p.n - p.l, p.l, _PAIR_CAP):
+        raise TooLarge(f"ordered pairs of disjoint {p.l}-sets of [{p.n}] exceed the pair cap {_PAIR_CAP}")
     count = choose(p.n, p.l) * choose(p.n - p.l, p.l)
     if count > _PAIR_CAP:
         raise TooLarge(f"{count} ordered pairs of disjoint {p.l}-sets exceed the pair cap {_PAIR_CAP}")
+
+
+def _ordered_pairs(p: Params):
+    """All ordered pairs of disjoint l-sets, lexicographic on (A, B): each
+    as its two index tuples and its two bitmasks; check_pair_cap first,
+    so over the cap nothing is built."""
+    check_pair_cap(p)
     bits = [1 << i for i in range(p.n)]
     index_tuples = {sum(c): tuple(x.bit_length() for x in c) for c in combinations(bits, p.l)}
     return (
@@ -327,12 +339,15 @@ def antipodal_free_precheck(fam: VectorFamily) -> list[Violation]:
 def certify_theorem1(fam: VectorFamily) -> TraceReport:
     """Run the full pipeline and certify |F| <= theorem1_bound(p).
 
-    Stops after the antipodal-free precheck if it fails; lemma1_check,
-    whose violations are exactly the antipodal pairs, is not re-run.
+    Checks the pair cap first (TooLarge over it, see check_pair_cap),
+    then stops after the antipodal-free precheck if it fails;
+    lemma1_check, whose violations are exactly the antipodal pairs, is
+    not re-run.
     Otherwise returns the lemma2 report (deletion trace, per-support
     EKR-capped intersecting families) plus the final two inequalities.
     """
     p = fam.params
+    check_pair_cap(p)
     precheck = antipodal_free_precheck(fam)
     if precheck:
         return TraceReport(family_size=len(fam), violations=precheck)

@@ -64,6 +64,8 @@ __all__ = [
     "is_antipodal",
     "enumerate_v",
     "cardinality_v",
+    "cardinality_exceeds",
+    "comb_exceeds",
     "antipodal_neighbors",
     "antipodal_degree",
     "find_antipodal_pair",
@@ -313,15 +315,9 @@ def enumerate_v(p: Params) -> VectorFamily:
     fixed plus set the minus sets run lexicographically over the
     remaining indices.  The order is the canonical one used for vertex
     numbering throughout the package.  Over _ENUMERATE_CAP vectors it
-    raises TooLarge before building any, and before any exact count
-    that could be slow: |V| = C(n, k+l) * C(k+l, l) is over the cap if
-    either factor is.
+    raises TooLarge before building any (see cardinality_exceeds).
     """
-    if (
-        _comb_exceeds(p.n, p.k + p.l, _ENUMERATE_CAP)
-        or _comb_exceeds(p.k + p.l, p.l, _ENUMERATE_CAP)
-        or (size := cardinality_v(p)) > _ENUMERATE_CAP
-    ):
+    if cardinality_exceeds(p, _ENUMERATE_CAP):
         raise TooLarge(f"|V({p.n},{p.k},{p.l})| exceeds the enumeration cap {_ENUMERATE_CAP}")
     bits = [1 << i for i in range(p.n)]
     codes = []
@@ -330,12 +326,12 @@ def enumerate_v(p: Params) -> VectorFamily:
         for minus in combinations([b << p.n for b in bits if not b & plus_mask], p.l):
             codes.append(plus_mask | sum(minus))
     fam = VectorFamily.from_codes(p, codes)
-    if len(fam) != size:
+    if len(fam) != (size := cardinality_v(p)):
         raise RuntimeError(f"enumerated {len(fam)} vectors, closed form says {size}")
     return fam
 
 
-def _comb_exceeds(n: int, r: int, bound: int) -> bool:
+def comb_exceeds(n: int, r: int, bound: int) -> bool:
     """C(n, r) > bound, in at most about log2(bound) + 1 steps: C(n, j)
     is at least 2**j for j <= n / 2, and each step is exact."""
     c = 1
@@ -344,6 +340,17 @@ def _comb_exceeds(n: int, r: int, bound: int) -> bool:
         if c > bound:
             return True
     return c > bound
+
+
+def cardinality_exceeds(p: Params, bound: int) -> bool:
+    """|V(n, k, l)| > bound, without an exact count that could be slow
+    when it is: |V| = C(n, k+l) * C(k+l, l) is over the bound if either
+    factor is."""
+    return (
+        comb_exceeds(p.n, p.k + p.l, bound)
+        or comb_exceeds(p.k + p.l, p.l, bound)
+        or cardinality_v(p) > bound
+    )
 
 
 def cardinality_v(p: Params) -> int:

@@ -1,6 +1,8 @@
 """Cyclic averaging: interval caps, permutation sweeps, the counting identity."""
 
 import random
+from array import array
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -104,6 +106,34 @@ def test_exhaustive_sweep_matches_brute(p):
         assert sweep.count_histogram == expected == dc.count_histogram
         assert sweep.sigmas_checked == dc.sigmas_checked == factorial(p[0])
         assert dc.identity_lhs == sum(c * m for c, m in expected.items()) == dc.identity_rhs
+
+
+def _coset_histogram(fam: VectorFamily) -> dict[int, int]:
+    """The one-permutation kernel (_count) summed over every sigma with
+    sigma(1) = 1, each with weight n."""
+    p = fam.params
+    getters = circle._member_getters(circle_family(p))
+    hist: dict[int, int] = {}
+    for tail in permutations(range(2, p.n + 1)):
+        c = circle._count(circle._bit_table((1, *tail), p.n), getters, fam.codes)
+        hist[c] = hist.get(c, 0) + p.n
+    return hist
+
+
+@pytest.mark.parametrize("p", [(8, k, l) for k in range(1, 5) for l in range(1, k + 1)], ids=str)
+def test_lane_kernel_matches_the_one_permutation_kernel_at_n8(p):
+    # n = 8 fills the 16-bit lanes; every (k, l) with 2k <= 8.
+    p = Params(*p)
+    for fam in (*_oracle_families(p), example2(p)):
+        assert lemma3_sweep(fam, exhaustive=True).count_histogram == _coset_histogram(fam)
+
+
+def test_lane_width_covers_the_exhaustive_cap():
+    # A code of the capped n fits one lane; a larger n is refused rather
+    # than counted with codes spilling into the next lane.
+    assert 2 * circle._EXHAUSTIVE_CAP <= 8 * array(circle._LANE).itemsize
+    with pytest.raises(RuntimeError, match="lane"):
+        circle._lane_columns(circle._EXHAUSTIVE_CAP + 1)
 
 
 @pytest.mark.parametrize("p", SWEEP_PARAMS, ids=str)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,17 @@ def test_search_kneser_over_the_vertex_cap_exit_two(capsys):
     assert err.startswith("error:") and "vertex cap" in err
 
 
+def test_search_over_the_vertex_cap_exit_two_without_counting_v(capsys):
+    # |V(200000,100000,50000)| has about 90,000 digits; the cap is
+    # decided without computing it.
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "200000", "100000", "50000")
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "error: |V(200000,100000,50000)| exceeds the vertex cap 5000\n"
+
+
 def test_negative_samples_exit_two(capsys):
     code, out, err = run(capsys, "verify", "lemma3", "6", "3", "1", "--samples", "-3")
     assert code == 2
@@ -325,13 +337,38 @@ def _run_header_only(tmp_path, capsys, header, *argv):
     return code, err
 
 
-@pytest.mark.parametrize("header", ["V 100000 2 2", "V 3000 2 1"])
+@pytest.mark.parametrize("header", ["V 100000 2 2", "V 3000 2 1", "V 1000000 500000 250000"])
 @pytest.mark.parametrize("argv", [("certify", "thm1"), ("verify", "lemma1"), ("verify", "lemma2")])
 def test_pair_walk_over_the_cap_exit_two(tmp_path, capsys, header, argv):
-    # The ordered l-pairs grow with the header's n, not with the file.
+    # The ordered l-pairs grow with the header's n, not with the file; the
+    # last count has about 450,000 digits and is never computed.
     code, err = _run_header_only(tmp_path, capsys, header, *argv)
     assert code == 2
     assert err.startswith("error: ") and "exceed the pair cap" in err
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [["++-" + "0" * 9997], ["++-" + "0" * 9997, "-0++" + "0" * 9996]],
+    ids=["one vector", "antipodal pair"],
+)
+@pytest.mark.parametrize("argv", [("certify", "thm1"), ("verify", "lemma1"), ("verify", "lemma2")])
+def test_pair_cap_comes_before_the_antipodal_free_precheck(tmp_path, capsys, vectors, argv):
+    # The precheck's partner lists for one vector grow quadratically in n
+    # (29 MB here); the pair cap is a count, so the file exits 2 first,
+    # also when it holds an antipodal pair.
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(["V 10000 2 1", *vectors]) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--family", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceed the pair cap" in err
+    assert peak < 2 * 2**20
 
 
 def test_pair_walk_at_the_largest_certify_triple(tmp_path, capsys):
@@ -526,16 +563,27 @@ def test_python_dash_m_runs_the_cli(argv, code):
         assert proc.stdout.splitlines()[0].startswith("alpha(5,2,1) = 12")
 
 
-@pytest.mark.parametrize("family,code", [(None, 0), ("antipodal", 1), ("malformed", 2)])
-def test_python_dash_capital_o_prints_the_same(tmp_path, family, code):
-    # No check relies on assert: under python -O, search and certify thm1
-    # print the same bytes and exit with the same code.
+@pytest.mark.parametrize(
+    "run,code",
+    [
+        (None, 0),
+        ("antipodal", 1),
+        ("malformed", 2),
+        pytest.param("double-count 8 3 2", 0, id="double-count-8-3-2"),
+        pytest.param("lemma3 8 3 1", 0, id="lemma3-8-3-1"),
+    ],
+)
+def test_python_dash_capital_o_prints_the_same(tmp_path, run, code):
+    # No check relies on assert: under python -O, search, certify thm1 and
+    # the exhaustive sweeps print the same bytes and exit with the same code.
     save_family(enumerate_v(Params(4, 2, 1)), tmp_path / "antipodal.txt")
     (tmp_path / "malformed.txt").write_text("V 4 2 1\n++-x\n")
-    if family is None:
+    if run is None:
         argv = ["search", "6", "2", "1"]
+    elif run in ("antipodal", "malformed"):
+        argv = ["certify", "thm1", "--family", str(tmp_path / f"{run}.txt")]
     else:
-        argv = ["certify", "thm1", "--family", str(tmp_path / f"{family}.txt")]
+        argv = ["verify", *run.split(), "--exhaustive"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

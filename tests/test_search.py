@@ -103,7 +103,7 @@ def test_antipodality_graph_vertex_cap():
     assert cardinality_v(p) > search.VERTEX_CAP
     # A second call raises again: a p over the cap is never cached.
     for _ in range(2):
-        with pytest.raises(TooLarge, match="13860"):
+        with pytest.raises(TooLarge, match=r"^\|V\(12,4,2\)\| exceeds the vertex cap 5000$"):
             antipodality_graph(p)
 
 

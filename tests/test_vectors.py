@@ -23,6 +23,7 @@ from antipodal import (
     antipodal_degree,
     antipodal_neighbors,
     antipodality_graph,
+    cardinality_exceeds,
     cardinality_v,
     choose,
     enumerate_v,
@@ -44,7 +45,7 @@ from _brute import (
     brute_vector_strings,
     gram,
 )
-from antipodal.vectors import _comb_exceeds
+from antipodal.vectors import comb_exceeds
 
 VALID_PARAMS = [
     (n, k, l)
@@ -375,7 +376,15 @@ def test_comb_exceeds_is_exact():
     for n in range(0, 40):
         for r in range(0, n + 1):
             for bound in (0, 1, 2, 39, 40, 41, comb(n, r) - 1, comb(n, r), 200_000):
-                assert _comb_exceeds(n, r, bound) == (comb(n, r) > bound), (n, r, bound)
+                assert comb_exceeds(n, r, bound) == (comb(n, r) > bound), (n, r, bound)
+
+
+def test_cardinality_exceeds_is_exact():
+    for n, k, l in PARAMS_TO_8:
+        p = Params(n, k, l)
+        size = cardinality_v(p)
+        for bound in (0, 1, size - 1, size, size + 1, 5000, 200_000):
+            assert cardinality_exceeds(p, bound) == (size > bound), (p, bound)
 
 
 def test_antipodality_graph_matches_pairwise_scan():
