@@ -21,10 +21,11 @@ The bounds:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .errors import RegimeError
-from .vectors import Params, cardinality_v
+from .errors import RegimeError, TooLarge
+from .vectors import Params, cardinality_exceeds, cardinality_v
 
 __all__ = [
     "choose",
@@ -142,7 +143,15 @@ def bound_table(p: Params) -> BoundTable:
     with the literal filtered constructions).  The ekr entry is the
     intersecting-family cap at the support level k + l, which needs
     n >= 2(k + l).
+
+    Raises TooLarge when |V| or a bound has more digits than Python
+    turns into a string (sys.get_int_max_str_digits); |V| is checked
+    before it is counted exactly.
     """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    cap = 10**digits - 1 if digits else None
+    if cap is not None and cardinality_exceeds(p, cap):
+        raise TooLarge(f"|V({p.n},{p.k},{p.l})| has more than {digits} digits, the int-to-string limit")
     kl = p.k + p.l
     entries = [
         BoundEntry("V", cardinality_v(p)),
@@ -166,4 +175,7 @@ def bound_table(p: Params) -> BoundTable:
         entries.append(BoundEntry("ekr", ekr_bound(p.n, kl)))
     else:
         entries.append(BoundEntry("ekr", None, f"n={p.n} < 2(k+l)={2 * kl}"))
+    for e in entries:
+        if cap is not None and e.applicable and e.value > cap:
+            raise TooLarge(f"{e.name} at ({p.n},{p.k},{p.l}) has more than {digits} digits, the int-to-string limit")
     return BoundTable(p, tuple(entries))

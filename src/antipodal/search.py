@@ -13,7 +13,15 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
 * reductions: isolated vertices are always taken; a degree-1 vertex is
   taken over its neighbor (dominance: swapping the neighbor out for the
   leaf never shrinks an independent set), cascading until the residual
-  has minimum degree 2.  The target drops by the number taken;
+  has minimum degree 2.  The target drops by the number taken.  No node
+  rescans its residual for them: a root counts every degree once, and a
+  child gets its parent's degrees and recounts only the neighbors of
+  the vertices the branch removed (the include child a copy, the
+  exclude child the parent's own list, which the parent no longer
+  reads).  As the parent's residual had minimum degree 2, only those
+  neighbors can become leaves; the leaves wait in a mask, the lowest is
+  taken first, and taking one changes only the degrees of its
+  neighbor's neighbors;
 * bound: a residual whose cover bound is at most the target fails low
   at once.  A matching M plus singletons is a clique cover, so
   alpha <= |V_res| - |M| on any graph; on the triangle-free antipodality
@@ -27,10 +35,10 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   one less than the matching charges, and each such S, disjoint from
   the others, lowers the bound by 1.  The roots stop once the bound
   reaches the target;
-* branching: on a maximum-degree vertex (lowest index on ties), taken
-  from the last reduction pass, which sees every degree; include
+* branching: on a maximum-degree vertex (lowest index on ties); include
   branch first against target - 1, then the exclude branch against the
-  larger of the target and the include result.
+  larger of the target and the include result.  One scan of the final
+  residual picks that vertex and builds the bound's greedy matching.
 
 At the root the target is the size lo of a min-degree greedy independent
 set: if the search fails low, the greedy set is the proved optimum.  The
@@ -64,17 +72,15 @@ branching run on one solver: one node count and deadline.  No bound is
 taken from bounds.py.
 
 Runs are deterministic: all scans are in ascending vertex order.  A
-budget (wall-clock seconds, checked on the first node and every 1024th
-after) caps the search; on exhaustion the result carries
-proof_of_optimality=False and the greedy set as a lower bound.  The
-witness is re-checked by an explicit test that raises RuntimeError, so
-it also runs under python -O.
+budget (wall-clock seconds, checked on every node) caps the search; on
+exhaustion the result carries proof_of_optimality=False and the greedy
+set as a lower bound.  The witness is re-checked by an explicit test
+that raises RuntimeError, so it also runs under python -O.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -89,6 +95,7 @@ from .vectors import (
     VectorFamily,
     antipodal_degree,
     cardinality_exceeds,
+    comb_exceeds,
     enumerate_v,
     find_antipodal_pair,
     parse_vector,
@@ -192,14 +199,15 @@ class _Solver:
         self.closed = tuple(a | (1 << i) for i, a in enumerate(adj))
         self.deadline = deadline
         self.nodes = 0
-        # Scratch for _cover_bound: an entry is read only after that call set it.
+        # Scratch for the cover bound's matching and trees: an entry is read
+        # only after the same bound computation set it.
         self.mate = [0] * len(adj)
         self.parent = [0] * len(adj)
 
     def count_node(self) -> None:
-        """One more node; past the deadline, node 1 and every 1024th after raise."""
+        """One more node; past the deadline it raises."""
         self.nodes += 1
-        if self.nodes & 1023 == 1 and time.monotonic() >= self.deadline:
+        if time.monotonic() >= self.deadline:
             raise _OutOfTime
 
     def solve(self, mask: int, lo: int) -> tuple[int, int]:
@@ -207,53 +215,94 @@ class _Solver:
 
         Exact whenever alpha(mask) > lo.  Otherwise the call fails low: it
         returns an upper bound size <= lo, which proves alpha(mask) <= lo,
-        with witness 0.
+        with witness 0.  A root call: its node counts every degree, and each
+        child gets its parent's counts (_node).
         """
+        return self._node(mask, lo, [0] * len(self.adj), mask)
+
+    def _node(self, m: int, lo: int, deg: list[int], stale: int) -> tuple[int, int]:
+        """solve(m, lo), given deg[i] = |N(i) & m| for every vertex i of m
+        outside stale; deg becomes this node's own and is left changed."""
         self.count_node()
         adj = self.adj
+        leaves = 0  # the vertices of degree 1 in m
         chosen = 0
-        m = mask
-        while True:
-            # A pass stops at its first leaf; isolated vertices past it stay
-            # isolated for the next pass.  A pass with no leaf has seen every
-            # degree, and dropping isolated vertices changes none, so its
-            # maximum-degree vertex (lowest index on ties) is the branch vertex.
-            leaf = -1
-            v = -1
-            best_d = 0
-            mm = m
-            while mm:
-                lsb = mm & -mm
-                i = lsb.bit_length() - 1
-                mm ^= lsb
-                d = adj[i] & m
-                if d == 0:
-                    chosen |= lsb
-                elif d & (d - 1) == 0:
-                    leaf = i
-                    break
-                else:
-                    d = d.bit_count()
-                    if d > best_d:
-                        best_d = d
-                        v = i
-            m &= ~chosen
-            if leaf < 0:
-                break
-            chosen |= 1 << leaf
-            m &= ~self.closed[leaf]
+        while stale:
+            lsb = stale & -stale
+            i = lsb.bit_length() - 1
+            stale ^= lsb
+            d = (adj[i] & m).bit_count()
+            deg[i] = d
+            if d == 1:
+                leaves |= lsb
+            elif d == 0:
+                chosen |= lsb
+        m ^= chosen
+        # Take the lowest leaf over its neighbor until none is left; only
+        # the neighbor's neighbors lose a degree.
+        while leaves:
+            lsb = leaves & -leaves
+            nb = adj[lsb.bit_length() - 1] & m
+            chosen |= lsb
+            m ^= lsb | nb
+            leaves &= ~(lsb | nb)
+            touched = adj[nb.bit_length() - 1] & m
+            while touched:
+                tb = touched & -touched
+                i = tb.bit_length() - 1
+                touched ^= tb
+                d = deg[i] - 1
+                deg[i] = d
+                if d == 1:
+                    leaves |= tb
+                elif d == 0:
+                    leaves ^= tb
+                    chosen |= tb
+                    m ^= tb
 
         taken = chosen.bit_count()
         target = lo - taken
         if m == 0:
             return taken, chosen
-        bound = self._cover_bound(m, target)
+        # One scan of the residual, now of minimum degree 2: the branch
+        # vertex (maximum degree, lowest index on ties) and the greedy
+        # matching that _cover_bound starts from.
+        mate = self.mate
+        free = 0
+        v = -1
+        best_d = 0
+        mm = m
+        while mm:
+            lsb = mm & -mm
+            i = lsb.bit_length() - 1
+            mm ^= lsb
+            d = deg[i]
+            if d > best_d:
+                best_d = d
+                v = i
+            cand = adj[i] & free
+            if cand:
+                low = cand & -cand
+                j = low.bit_length() - 1
+                mate[i] = j
+                mate[j] = i
+                free ^= low
+            else:
+                free |= lsb
+        bound = self._grow_trees(m, free, target)
         if bound <= target:
             return taken + bound, 0
-        s_in, w_in = self.solve(m & ~self.closed[v], target - 1)
+        rest = m & ~self.closed[v]
+        stale = 0
+        nbrs = adj[v] & m
+        while nbrs:
+            lsb = nbrs & -nbrs
+            nbrs ^= lsb
+            stale |= adj[lsb.bit_length() - 1]
+        s_in, w_in = self._node(rest, target - 1, deg.copy(), stale & rest)
         size = s_in + 1
         wit = w_in | (1 << v)
-        s_ex, w_ex = self.solve(m & ~(1 << v), max(target, size))
+        s_ex, w_ex = self._node(m ^ (1 << v), max(target, size), deg, adj[v] & m)
         if s_ex > size:
             size, wit = s_ex, w_ex
         if size <= target:
@@ -305,6 +354,13 @@ class _Solver:
                 free ^= low
             else:
                 free |= lsb
+        return self._grow_trees(mask, free, target)
+
+    def _grow_trees(self, mask: int, free: int, target: int) -> int:
+        """The tree growth of _cover_bound, from a matching of mask held in
+        mate whose unmatched vertices are free."""
+        adj = self.adj
+        mate = self.mate
         # |mask| - |M|, with |M| = (|mask| - |free|) / 2
         bound = (mask.bit_count() + free.bit_count()) // 2
         parent = self.parent
@@ -316,11 +372,11 @@ class _Solver:
             if not free & root_bit:
                 continue  # matched by an earlier augmenting path
             r = root_bit.bit_length() - 1
-            seen = used | root_bit
+            avail = mask & ~(used | root_bit)  # the vertices not yet in the tree
             outer_bits = root_bit
             outer = [r]
             for u in outer:
-                nbrs = adj[u] & mask & ~seen
+                nbrs = adj[u] & avail
                 hit = nbrs & free
                 if hit:
                     end = hit & -hit
@@ -351,9 +407,9 @@ class _Solver:
                     x = xb.bit_length() - 1
                     y = mate[x]
                     parent[x] = u
-                    seen |= xb | 1 << y
+                    avail ^= xb | 1 << y
                     outer_bits |= 1 << y
-                    nbrs &= ~seen
+                    nbrs &= avail
                     outer.append(y)
         return bound
 
@@ -562,8 +618,8 @@ def kneser_graph(n: int, k: int) -> Graph:
     """k-subsets of [n] with an edge per disjoint pair, lex vertex order."""
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
-    if math.comb(n, k) > VERTEX_CAP:
-        raise TooLarge(f"C({n},{k})={math.comb(n, k)} exceeds the vertex cap {VERTEX_CAP}")
+    if comb_exceeds(n, k, VERTEX_CAP):
+        raise TooLarge(f"C({n},{k}) exceeds the vertex cap {VERTEX_CAP}")
     return disjointness_graph(combinations(range(1, n + 1), k))
 
 

@@ -8,6 +8,9 @@ partners, slices and the deletion trace rebuilt from frozensets instead
 of integer vector codes, a frozenset-backed reference vector, and a
 per-character vector parser.  Slow
 on purpose; keep the inputs tiny.
+
+reference_solve is the exception: it is the solver's earlier node
+procedure, kept to pin the search tree of the current one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from antipodal import BadCharacter, OverlapError, RangeError, SignedVector
+from antipodal import BadCharacter, OverlapError, RangeError, SignedVector, search
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -101,6 +104,74 @@ def brute_max_independent(adj_lists: list[list[int]]) -> int:
         return max(rec(rest), 1 + rec(rest & ~masks[v]))
 
     return rec((1 << n) - 1)
+
+
+def reference_solve(adj: tuple[int, ...], mask: int, lo: int) -> tuple[int, int, int]:
+    """search._Solver(adj, inf).solve(mask, lo) and the solver's node count
+    after it, from the node procedure that rescans the residual.
+
+    Each pass over the residual counts every degree and restarts after
+    the first leaf it takes; the pass that finds no leaf gives the branch
+    vertex.  search._Solver._cover_bound then makes its own greedy
+    matching scan.
+    """
+    solver = search._Solver(adj, math.inf)
+    closed = solver.closed
+    nodes = 0
+
+    def solve(mask: int, lo: int) -> tuple[int, int]:
+        nonlocal nodes
+        nodes += 1
+        chosen = 0
+        m = mask
+        while True:
+            leaf = v = -1
+            best_d = 0
+            for i in search._bits(m):
+                d = (adj[i] & m).bit_count()
+                if d == 0:
+                    chosen |= 1 << i
+                elif d == 1:
+                    leaf = i
+                    break
+                elif d > best_d:
+                    best_d, v = d, i
+            m &= ~chosen
+            if leaf < 0:
+                break
+            chosen |= 1 << leaf
+            m &= ~closed[leaf]
+        taken = chosen.bit_count()
+        target = lo - taken
+        if m == 0:
+            return taken, chosen
+        bound = solver._cover_bound(m, target)
+        if bound <= target:
+            return taken + bound, 0
+        s_in, w_in = solve(m & ~closed[v], target - 1)
+        size, wit = s_in + 1, w_in | 1 << v
+        s_ex, w_ex = solve(m & ~(1 << v), max(target, size))
+        if s_ex > size:
+            size, wit = s_ex, w_ex
+        if size <= target:
+            return taken + size, 0
+        return taken + size, wit | chosen
+
+    size, wit = solve(mask, lo)
+    return size, wit, nodes
+
+
+def reference_max_independent(adj: tuple[int, ...]) -> tuple[int, int, int]:
+    """(optimum, witness mask, nodes explored) that max_independent_set
+    must return: reference_solve of the whole graph against the
+    min-degree greedy set, which is the answer when the search fails low."""
+    everything = (1 << len(adj)) - 1
+    greedy = search._greedy_mask(adj, everything)
+    lo = greedy.bit_count()
+    size, wit, nodes = reference_solve(adj, everything, lo)
+    if size <= lo:
+        size, wit = lo, greedy
+    return size, wit, nodes
 
 
 def brute_circle_pairs(n: int, k: int, l: int) -> list[tuple[frozenset[int], frozenset[int]]]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from antipodal import (
     Params,
     RegimeError,
+    TooLarge,
     bound_table,
     cardinality_v,
     choose,
@@ -159,6 +160,17 @@ def test_bound_table_thm2_regime_note():
     t = bound_table(Params(9, 3, 1))
     assert not t["thm2"].applicable
     assert "n/a" in t["thm2"].render()
+
+
+@pytest.mark.parametrize(
+    "triple,name",
+    [((20000, 10000, 5000), r"\|V\(20000,10000,5000\)\|"), ((14270, 7134, 1), r"thm1 at \(14270,7134,1\)")],
+)
+def test_bound_table_refuses_values_python_cannot_print(triple, name):
+    # The first |V| is over the int-to-string limit; the second |V| (4,298
+    # digits) is under it, but thm1 (4,301 digits) is over.
+    with pytest.raises(TooLarge, match=f"^{name} has more than 4300 digits"):
+        bound_table(Params(*triple))
 
 
 def test_bound_table_round_trips_json():

@@ -245,6 +245,43 @@ def test_search_kneser_over_the_vertex_cap_exit_two(capsys):
     assert err.startswith("error:") and "vertex cap" in err
 
 
+def test_search_kneser_over_the_vertex_cap_exit_two_without_counting(capsys):
+    # C(20000,10000) has about 6,000 digits, more than Python formats.
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--kneser", "20000", "10000")
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "error: C(20000,10000) exceeds the vertex cap 5000\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_bounds_over_the_digit_limit_exit_two(capsys, json_flag):
+    code, out, err = run(capsys, "bounds", "20000", "10000", "5000", *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == "error: |V(20000,10000,5000)| has more than 4300 digits, the int-to-string limit\n"
+
+
+def test_bounds_over_the_digit_limit_exit_two_without_counting_v(capsys):
+    # |V(1000000,500000,250000)| has about 450,000 digits; the limit is
+    # decided without computing it.
+    start = time.monotonic()
+    code, out, err = run(capsys, "bounds", "1000000", "500000", "250000")
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: |V(1000000,500000,250000)| has more than")
+
+
+def test_bounds_exit_two_when_only_a_bound_is_over_the_digit_limit(capsys):
+    # |V(14270,7134,1)| has 4,298 digits, thm1 4,301.
+    code, out, err = run(capsys, "bounds", "14270", "7134", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: thm1 at (14270,7134,1) has more than 4300 digits, the int-to-string limit\n"
+
+
 def test_search_over_the_vertex_cap_exit_two_without_counting_v(capsys):
     # |V(200000,100000,50000)| has about 90,000 digits; the cap is
     # decided without computing it.

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from antipodal import (
     theorem2_bound,
 )
 from antipodal import bounds, search
-from _brute import antipodal_pair_counts, brute_max_independent
+from _brute import antipodal_pair_counts, brute_max_independent, reference_max_independent, reference_solve
 
 
 def _random_graph(rng, n, p_edge):
@@ -114,7 +115,7 @@ def test_antipodality_graph_built_once_per_params():
 
 def test_kneser_graph_vertex_cap():
     assert math.comb(20, 5) == 15504 > search.VERTEX_CAP
-    with pytest.raises(TooLarge, match="15504"):
+    with pytest.raises(TooLarge, match=r"^C\(20,5\) exceeds the vertex cap 5000$"):
         kneser_graph(20, 5)
 
 
@@ -188,6 +189,17 @@ def test_budget_below_zero_or_nan_rejected(budget):
         max_antipodal_free(Params(5, 2, 1), budget=budget)
     with pytest.raises(InvalidParams, match="budget"):
         max_intersecting(5, 2, budget=budget)
+
+
+def test_budget_stops_a_search_on_a_large_graph():
+    # A node on V(9,3,2) costs milliseconds, so a clock read only every
+    # 1024th node would overrun a 0.5 s budget many times over.
+    g = antipodality_graph(Params(9, 3, 2))
+    start = time.monotonic()
+    result = max_independent_set(g, budget=0.5)
+    assert time.monotonic() - start < 3
+    assert not result.proof_of_optimality
+    assert result.optimum == len(result.witness) > 0
 
 
 def test_budget_zero_and_infinite_accepted():
@@ -463,6 +475,71 @@ def test_solver_fail_low_contract_on_unions_of_odd_cycles(name):
             assert all(g.adj[i] & wit == 0 for i in search._bits(wit))
         else:
             assert alpha <= size <= lo
+
+
+# ---------------------------------------------------------------- node kernel
+
+def _triangle_free_graph(rng, n, p_edge):
+    """A random graph that keeps a drawn edge only if it closes no triangle."""
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p_edge and not adj[i] & adj[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(tuple(f"v{i}" for i in range(n)), tuple(adj))
+
+
+def _assert_same_search_as_reference(g, mask=None):
+    # The degrees handed down, the leaf worklist and the fused scan must
+    # give exactly the search tree of the node that rescans its residual:
+    # at the root of max_independent_set, and from a full search (target
+    # -1) and a search one below the optimum on the vertices of mask.
+    size, wit, nodes = reference_max_independent(g.adj)
+    result = max_independent_set(g)
+    assert result.proof_of_optimality
+    assert (result.optimum, result.witness, result.nodes_explored) == (
+        size,
+        tuple(g.labels[i] for i in search._bits(wit)),
+        nodes,
+    )
+    if mask is None:
+        mask = (1 << g.n) - 1
+    for lo in (-1, reference_solve(g.adj, mask, -1)[0] - 1):
+        solver = search._Solver(g.adj, float("inf"))
+        size, wit = solver.solve(mask, lo)
+        assert (size, wit, solver.nodes) == reference_solve(g.adj, mask, lo)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solver_matches_reference_on_random_graphs(seed):
+    # Sparse graphs (average degree 2 to 6), where leaves cascade, and
+    # denser ones, where the search branches; with and without triangles.
+    rng = random.Random(seed)
+    n = rng.randrange(1, 61)
+    if seed % 4 < 2:
+        p_edge = rng.uniform(2, 6) / max(n - 1, 1)
+    else:
+        p_edge = rng.uniform(0.15, 0.5)
+    if seed % 2:
+        g = _triangle_free_graph(rng, n, p_edge)
+    else:
+        g = _random_graph(rng, n, p_edge)
+    _assert_same_search_as_reference(g, rng.getrandbits(n) | rng.getrandbits(n))
+
+
+@pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1), (7, 3, 1), (8, 2, 1)])
+def test_solver_matches_reference_on_antipodality_subgraphs(triple):
+    rng = random.Random(sum(triple))
+    g = antipodality_graph(Params(*triple))
+    for _ in range(3):
+        keep = sorted(rng.sample(range(g.n), rng.randrange(g.n // 3, g.n // 2)))
+        _assert_same_search_as_reference(_induced(g, keep))
+
+
+@pytest.mark.parametrize("nk", [(5, 2), (6, 2), (7, 2), (7, 3), (8, 3)])
+def test_solver_matches_reference_on_kneser_graphs(nk):
+    _assert_same_search_as_reference(kneser_graph(*nk))
 
 
 @pytest.mark.parametrize("seed", range(3))
