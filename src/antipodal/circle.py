@@ -52,7 +52,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations as _iter_permutations
 from operator import itemgetter
 
@@ -108,23 +108,11 @@ class CircleReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "params": list(self.params),
-            "family_size": self.family_size,
-            "mode": self.mode,
-            "sigmas_checked": self.sigmas_checked,
-            "count_histogram": {str(k): v for k, v in sorted(self.count_histogram.items())},
-            "max_observed": self.max_observed,
-            "cap": self.cap,
-            "identity_lhs": self.identity_lhs,
-            "identity_rhs": self.identity_rhs,
-            "mean_observed": self.mean_observed,
-            "mean_expected": self.mean_expected,
-            "bound_value": self.bound_value,
-            "seed": self.seed,
-            "violations": [v.as_dict() for v in self.violations],
-            "ok": self.ok,
-        }
+        d = asdict(self)
+        d["params"] = list(self.params)
+        d["count_histogram"] = {str(k): v for k, v in sorted(self.count_histogram.items())}
+        d["ok"] = self.ok
+        return d
 
 
 def _member_getters(h: VectorFamily) -> list[itemgetter]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidParams, RegimeError
+from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
 from .vectors import Params, VectorFamily, enumerate_v
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "example2",
     "circle_family",
 ]
+
+_CIRCLE_CAP = 1000  # circle_family's n: H prints as n^2 characters, and the sweeps need n <= 100
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,13 @@ def circle_family(p: Params) -> VectorFamily:
     """The n-member cyclic family H; member i is +1 on the cyclic block
     {i, ..., i+k-1} and -1 on {i-k, ..., i-k+l-1} (residues taken in [1..n]).
 
-    Needs n >= 2k so the two blocks cannot collide.
+    Needs n >= 2k so the two blocks cannot collide.  TooLarge for
+    n > _CIRCLE_CAP: H has n members of n coordinates each.
     """
     if p.n < 2 * p.k:
         raise RegimeError(f"circle family needs n >= 2k, got n={p.n}, k={p.k}")
+    if p.n > _CIRCLE_CAP:
+        raise TooLarge(f"circle family capped at n <= {_CIRCLE_CAP}, got n={p.n}")
     fam = VectorFamily.from_codes(
         p,
         (

@@ -83,7 +83,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -175,16 +175,12 @@ class SearchResult:
     optimum: int
     witness: tuple[str, ...]
     nodes_explored: int
-    elapsed: float
     proof_of_optimality: bool
 
     def as_dict(self) -> dict:
-        return {
-            "optimum": self.optimum,
-            "witness": list(self.witness),
-            "nodes_explored": self.nodes_explored,
-            "proof_of_optimality": self.proof_of_optimality,
-        }
+        d = asdict(self)
+        d["witness"] = list(self.witness)
+        return d
 
 
 class _OutOfTime(Exception):
@@ -480,7 +476,6 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     With p, g is antipodality_graph(p) and, when antipodal pairs exist,
     the symmetric root replaces the plain solve of all of g.
     """
-    t0 = time.monotonic()
     everything = (1 << g.n) - 1
     greedy = _greedy_mask(g.adj, everything)
     lo = greedy.bit_count()
@@ -509,7 +504,6 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
         optimum=size,
         witness=tuple(g.labels[i] for i in _bits(wit)),
         nodes_explored=solver.nodes,
-        elapsed=time.monotonic() - t0,
         proof_of_optimality=proved,
     )
 

@@ -24,6 +24,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import GroundMismatch, InvalidParams, PreconditionError, RangeError, TooLarge
+from .vectors import comb_exceeds
 
 __all__ = [
     "SetFamily",
@@ -152,11 +153,8 @@ def verify_prop1_exhaustive(m: int, a: int, b: int) -> Prop1Report:
         raise PreconditionError(f"need a, b >= 1, got a={a}, b={b}")
     if m < a + b:
         raise PreconditionError(f"need m >= a + b, got m={m}, a={a}, b={b}")
-    if math.comb(m, a) > _SWEEP_CAP or math.comb(m, b) > _SWEEP_CAP:
-        raise TooLarge(
-            f"sweep needs C(m,a) and C(m,b) <= {_SWEEP_CAP}, "
-            f"got {math.comb(m, a)} and {math.comb(m, b)}"
-        )
+    if comb_exceeds(m, a, _SWEEP_CAP) or comb_exceeds(m, b, _SWEEP_CAP):
+        raise TooLarge(f"sweep needs C({m},{a}) and C({m},{b}) <= {_SWEEP_CAP}")
     asets = list(combinations(range(1, m + 1), a))
     bsets = list(combinations(range(1, m + 1), b))
     cap_a = math.comb(m - 1, a - 1)

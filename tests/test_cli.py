@@ -293,6 +293,26 @@ def test_search_over_the_vertex_cap_exit_two_without_counting_v(capsys):
     assert err == "error: |V(200000,100000,50000)| exceeds the vertex cap 5000\n"
 
 
+def test_verify_prop1_over_the_sweep_cap_exit_two_without_counting(capsys):
+    # C(200000,100000) has about 60,000 digits; the cap is decided without computing it.
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "prop1", "200000", "100000", "100000")
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "error: sweep needs C(200000,100000) and C(200000,100000) <= 12\n"
+
+
+def test_construct_circle_over_the_size_cap_exit_two(capsys):
+    # H at n = 100,000 would print 10^10 characters.
+    start = time.monotonic()
+    code, out, err = run(capsys, "construct", "circle", "100000", "2", "1")
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "error: circle family capped at n <= 1000, got n=100000\n"
+
+
 def test_negative_samples_exit_two(capsys):
     code, out, err = run(capsys, "verify", "lemma3", "6", "3", "1", "--samples", "-3")
     assert code == 2

@@ -13,6 +13,7 @@ from antipodal import (
     Params,
     Permutation,
     RegimeError,
+    TooLarge,
     apply_permutation,
     cardinality_v,
     circle_family,
@@ -114,6 +115,12 @@ def test_circle_frozen_4_2_1():
 def test_circle_needs_wraparound_room():
     with pytest.raises(RegimeError):
         circle_family(Params(3, 2, 1))
+
+
+def test_circle_refuses_n_over_the_cap():
+    assert len(circle_family(Params(1000, 2, 1))) == 1000
+    with pytest.raises(TooLarge, match="capped at n <= 1000"):
+        circle_family(Params(1001, 2, 1))
 
 
 def test_circle_size_is_n():

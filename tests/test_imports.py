@@ -1,5 +1,6 @@
 """Module layout: package-internal imports are public and at top level,
-and every deliberate raise names a class of the error taxonomy."""
+every deliberate raise names a class of the error taxonomy, and the
+package namespace republishes exactly the modules' public names."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,27 @@ from pathlib import Path
 import antipodal
 
 _SRC = Path(antipodal.__file__).parent
+
+
+_MODULES = [
+    "bounds", "circle", "constructions", "errors", "familyfile", "search", "setfamilies", "theorem1", "vectors",
+]
+
+
+def test_package_namespace_is_the_union_of_module_exports():
+    # `from module import *` binds the module's __all__ (errors.py, which has
+    # none, every exception class); the package adds only its submodules.
+    exported = set()
+    for name in _MODULES:
+        namespace = {}
+        exec(f"from antipodal.{name} import *", namespace)
+        exported |= set(namespace) - {"__builtins__"}
+    assert {"comb_exceeds", "check_pair_cap", "AntipodalError"} <= exported
+    submodules = {path.stem for path in _SRC.glob("*.py") if not path.stem.startswith("_")}
+    assert submodules == set(_MODULES) | {"cli"}
+    public = {name for name in vars(antipodal) if not name.startswith("_")}
+    assert public - submodules == exported
+    assert antipodal.__version__ == "0.1.0"
 
 
 def _internal_imports(tree: ast.Module):

@@ -1,9 +1,11 @@
 """The experiment scripts report every instance they visit."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from antipodal import Params, TooLarge, cardinality_v
+from antipodal.cli import main as cli_main
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -61,3 +63,25 @@ def test_regime_probe_reports_too_large(capsys, monkeypatch):
     rows = _probe_rows(capsys, module, kmax=2, overshoot=1, budget=1.0)
     assert set(rows) == {(6, 2, 1), (5, 2, 2)}
     assert rows[(6, 2, 1)].endswith("skipped: |V|=60 exceeds the vertex cap 5000")
+
+def _summary(capsys, budget):
+    assert _load("summary_table").run(nmax=5, kmax=2, budget=budget) == 0
+    return capsys.readouterr().out.splitlines()
+
+def test_summary_table_lists_every_instance_as_skipped_at_budget_zero(capsys):
+    lines = _summary(capsys, 0.0)
+    assert lines[0] == "exactly solved: 0 instances"
+    assert all(line.endswith(" 0 times") for line in lines[1:6])
+    triples = [(n, k, l) for n in range(2, 6) for k in (1, 2) for l in range(1, k + 1) if k + l <= n]
+    assert lines[6] == f"  skipped (too large or budget): {triples}"
+
+def test_summary_table_counts_match_the_table(capsys):
+    lines = _summary(capsys, 60.0)
+    assert cli_main(["table", "5", "2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert all(row["exact"] for row in rows)
+    assert lines[0] == f"exactly solved: {len(rows)} instances"
+    for line, name in zip(lines[1:], ["example1", "example2", "thm1", "thm2", "fk1"]):
+        attained = sum(row[name] == row["alpha"] for row in rows)
+        assert line == f"  optimum attained by {name:<9} {attained:>3} times"
+    assert len(lines) == 6

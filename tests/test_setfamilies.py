@@ -104,6 +104,9 @@ def test_prop1_preconditions():
 def test_prop1_refuses_oversized_sweep():
     with pytest.raises(TooLarge):
         verify_prop1_exhaustive(30, 13, 13)
+    # The binomials are named, not computed: C(200000,100000) has about 60,000 digits.
+    with pytest.raises(TooLarge, match=r"^sweep needs C\(200000,100000\) and C\(200000,100000\) <= 12$"):
+        verify_prop1_exhaustive(200000, 100000, 100000)
 
 
 @given(st.integers(4, 6), st.data())

@@ -28,6 +28,7 @@ from antipodal import (
     is_antipodal,
     lemma1_check,
     lemma2_check,
+    max_antipodal_free,
     subfamily,
     theorem1_bound,
     theorem2_certify,
@@ -307,15 +308,37 @@ def test_certify_survivor_cap_recorded():
         assert size <= cap
 
 
-def test_report_as_dict_round_trips_keys():
-    import json
+_TRACE_KEYS = [
+    "family_size", "threshold", "policy", "pair_counts", "deletions", "deleted", "survivor_size",
+    "accounting_lower_bound", "family_b_sizes", "final_bound", "violations", "ok",
+]
+_CIRCLE_KEYS = [
+    "params", "family_size", "mode", "sigmas_checked", "count_histogram", "max_observed", "cap",
+    "identity_lhs", "identity_rhs", "mean_observed", "mean_expected", "bound_value", "seed",
+    "violations", "ok",
+]
+_SEARCH_KEYS = ["optimum", "witness", "nodes_explored", "proof_of_optimality"]
 
-    fam = example1(Params(4, 2, 1))
-    report = certify_theorem1(fam)
-    blob = json.loads(json.dumps(report.as_dict()))
+
+def test_report_as_dict_round_trips_keys():
+    # One report of each kind, with and without violations: keys in the
+    # documented order, and JSON gives back the same dict.
+    reports = [
+        (certify_theorem1(example1(Params(4, 2, 1))), _TRACE_KEYS),
+        (lemma2_check(enumerate_v(Params(4, 2, 1))), _TRACE_KEYS),
+        (theorem2_certify(example2(Params(5, 2, 1)), samples=50, seed=3), _CIRCLE_KEYS),
+        (theorem2_certify(enumerate_v(Params(4, 2, 1))), _CIRCLE_KEYS),
+        (max_antipodal_free(Params(5, 2, 1)), _SEARCH_KEYS),
+    ]
+    for report, keys in reports:
+        d = report.as_dict()
+        assert list(d) == keys
+        assert json.loads(json.dumps(d)) == d
+    blob = reports[0][0].as_dict()
     assert blob["ok"] is True
     assert blob["survivor_size"] == 3
     assert blob["deletions"]["1|3"] == 1
+    assert reports[1][0].as_dict()["violations"][0]["stage"] == "lemma2"
 
 
 # ---------------------------------------------------------------- lemma 2 and the precheck
