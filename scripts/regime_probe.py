@@ -15,15 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from antipodal import (
-    Params,
-    TooLarge,
-    cardinality_v,
-    example1,
-    example2,
-    max_antipodal_free,
-    theorem1_bound,
-)
+from antipodal import Params, TooLarge, bound_table, max_antipodal_free
 
 
 def probe(kmax: int, overshoot: int, budget: float) -> int:
@@ -45,7 +37,8 @@ def probe(kmax: int, overshoot: int, budget: float) -> int:
                     continue
                 alpha = result.optimum
                 alpha_col = str(alpha)
-                circle_value = Fraction(k * cardinality_v(p), n)
+                sizes = bound_table(p).as_dict()["entries"]
+                circle_value = Fraction(k * sizes["V"], n)
                 if not result.proof_of_optimality:
                     alpha_col = f">={alpha}"
                     verdict = f"not proved in {budget:g} s: {alpha} <= alpha"
@@ -57,8 +50,8 @@ def probe(kmax: int, overshoot: int, budget: float) -> int:
                     verdict = "circle value holds (unproven here)"
                 print(
                     f"{head} {alpha_col:>7} "
-                    f"{str(circle_value):>9} {len(example1(p)):>6} "
-                    f"{len(example2(p)):>6} {theorem1_bound(p):>6}  {verdict}"
+                    f"{str(circle_value):>9} {sizes['example1']:>6} "
+                    f"{sizes['example2']:>6} {sizes['thm1']:>6}  {verdict}"
                 )
     return 0
 

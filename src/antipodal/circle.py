@@ -72,6 +72,8 @@ __all__ = [
     "theorem2_certify",
 ]
 
+DEFAULT_SAMPLES = 1000  # sampled permutations per sweep, besides the identity
+DEFAULT_SEED = 0
 _EXHAUSTIVE_CAP = 8
 _LANE = "H"  # the lane kernel's lane type: 16 bits, one code of 2n <= 16 bits
 _SAMPLED_CAP = 100  # building H and its getters costs n^2, and each sampled sigma n (k + l)
@@ -179,8 +181,8 @@ def lemma3_sweep(
     fam: VectorFamily,
     *,
     exhaustive: bool = False,
-    samples: int = 1000,
-    seed: int = 0,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
 ) -> CircleReport:
     """Histogram of |H(sigma) cap F| over permutations.
 
@@ -244,8 +246,8 @@ def double_count_check(
     fam: VectorFamily,
     *,
     exhaustive: bool = False,
-    samples: int = 1000,
-    seed: int = 0,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
 ) -> CircleReport:
     """Check the double-counting identity for an arbitrary subfamily.
 
@@ -304,7 +306,7 @@ def double_count_check(
     return report
 
 
-def theorem2_certify(fam: VectorFamily, samples: int = 1000, seed: int = 0) -> CircleReport:
+def theorem2_certify(fam: VectorFamily, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> CircleReport:
     """Certify |F| <= theorem2_bound(p) for an antipodal-free family in
     the circle regime.
 

@@ -18,7 +18,7 @@ import json
 import sys
 
 from .bounds import bound_table
-from .circle import double_count_check, lemma3_sweep, theorem2_certify
+from .circle import DEFAULT_SAMPLES, DEFAULT_SEED, double_count_check, lemma3_sweep, theorem2_certify
 from .constructions import circle_family, example1, example2
 from .errors import AntipodalError, InvalidParams, RegimeError, TooLarge
 from .familyfile import family_to_json, family_to_text, load_family, save_family
@@ -90,23 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
         lp.add_argument("--trace", action="store_true", help="dump the full JSON trace")
         lp.set_defaults(func=_cmd_lemma12, check_name=check)
 
-    l3_p = vsub.add_parser("lemma3", help="interval cap |H(sigma) cap F| <= k")
-    for name in ("n", "k", "l"):
-        l3_p.add_argument(name, type=int)
-    l3_p.add_argument("--family", metavar="FILE", help="default: the example2 family")
-    l3_p.add_argument("--samples", type=int, default=1000)
-    l3_p.add_argument("--seed", type=int, default=0)
-    l3_p.add_argument("--exhaustive", action="store_true", help="all n! permutations (n <= 8)")
-    l3_p.set_defaults(func=_cmd_lemma3)
-
-    dc_p = vsub.add_parser("double-count", help="permutation double-counting identity")
-    for name in ("n", "k", "l"):
-        dc_p.add_argument(name, type=int)
-    dc_p.add_argument("--family", metavar="FILE", help="default: all of V(n,k,l)")
-    dc_p.add_argument("--samples", type=int, default=1000)
-    dc_p.add_argument("--seed", type=int, default=0)
-    dc_p.add_argument("--exhaustive", action="store_true", help="all n! permutations (n <= 8)")
-    dc_p.set_defaults(func=_cmd_double_count)
+    for check, help_, family_help, func in (
+        ("lemma3", "interval cap |H(sigma) cap F| <= k", "default: the example2 family", _cmd_lemma3),
+        ("double-count", "permutation double-counting identity", "default: all of V(n,k,l)", _cmd_double_count),
+    ):
+        sp = vsub.add_parser(check, help=help_)
+        for name in ("n", "k", "l"):
+            sp.add_argument(name, type=int)
+        sp.add_argument("--family", metavar="FILE", help=family_help)
+        sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--exhaustive", action="store_true", help="all n! permutations (n <= 8)")
+        sp.set_defaults(func=func)
 
     certify_p = sub.add_parser("certify", help="run a full certification pipeline")
     csub = certify_p.add_subparsers(dest="what", required=True)
@@ -118,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t2_p = csub.add_parser("thm2", help="circle bound k|V|/n in its regime")
     t2_p.add_argument("--family", required=True, metavar="FILE")
-    t2_p.add_argument("--samples", type=int, default=1000)
-    t2_p.add_argument("--seed", type=int, default=0)
+    t2_p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    t2_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     t2_p.add_argument("--trace", action="store_true", help="dump the full JSON report")
     t2_p.set_defaults(func=_cmd_certify_thm2)
 
@@ -315,9 +310,7 @@ def _cmd_table(args) -> int:
                     continue
                 p = Params(n, k, l)
                 bt = bound_table(p)
-                row: dict = {"n": n, "k": k, "l": l}
-                for e in bt.entries:
-                    row[e.name] = e.value
+                row: dict = {"n": n, "k": k, "l": l, **bt.as_dict()["entries"]}
                 try:
                     result = max_antipodal_free(p, budget=args.budget)
                     row["alpha"] = result.optimum

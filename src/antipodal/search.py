@@ -37,8 +37,8 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   reaches the target;
 * branching: on a maximum-degree vertex (lowest index on ties); include
   branch first against target - 1, then the exclude branch against the
-  larger of the target and the include result.  One scan of the final
-  residual picks that vertex and builds the bound's greedy matching.
+  larger of the target and the include result.  The cover bound's one
+  scan of the final residual also picks that vertex.
 
 At the root the target is the size lo of a min-degree greedy independent
 set: if the search fails low, the greedy set is the proved optimum.  The
@@ -260,32 +260,7 @@ class _Solver:
         target = lo - taken
         if m == 0:
             return taken, chosen
-        # One scan of the residual, now of minimum degree 2: the branch
-        # vertex (maximum degree, lowest index on ties) and the greedy
-        # matching that _cover_bound starts from.
-        mate = self.mate
-        free = 0
-        v = -1
-        best_d = 0
-        mm = m
-        while mm:
-            lsb = mm & -mm
-            i = lsb.bit_length() - 1
-            mm ^= lsb
-            d = deg[i]
-            if d > best_d:
-                best_d = d
-                v = i
-            cand = adj[i] & free
-            if cand:
-                low = cand & -cand
-                j = low.bit_length() - 1
-                mate[i] = j
-                mate[j] = i
-                free ^= low
-            else:
-                free |= lsb
-        bound = self._grow_trees(m, free, target)
+        bound, v = self._cover_bound(m, target, deg)
         if bound <= target:
             return taken + bound, 0
         rest = m & ~self.closed[v]
@@ -305,16 +280,18 @@ class _Solver:
             return taken + size, 0
         return taken + size, wit | chosen
 
-    def _cover_bound(self, mask: int, target: int) -> int:
-        """Cover upper bound |mask| - |M| - c for a matching M of the
-        induced subgraph and c disjoint odd-cycle sets; each edge of M and
-        each unmatched vertex is a clique.  Returns as soon as the bound is
-        at most target.
+    def _cover_bound(self, mask: int, target: int, deg: list[int] | None = None) -> tuple[int, int]:
+        """(bound, v): the cover upper bound |mask| - |M| - c for a matching
+        M of the induced subgraph and c disjoint odd-cycle sets, where each
+        edge of M and each unmatched vertex is a clique, and the branch
+        vertex v.  The bound is returned as soon as it is at most target.
 
-        M starts greedy: each vertex is paired with its lowest earlier
-        unmatched neighbor.  Then each root still unmatched, in ascending
-        order, grows one alternating tree by BFS, outside the sets already
-        charged.  At each outer vertex u, in this order:
+        One scan of mask builds a greedy M, each vertex paired with its
+        lowest earlier unmatched neighbor, and picks v: maximum deg[i],
+        lowest index on ties, or -1 without deg.  Then each root still
+        unmatched, in ascending order, grows one alternating tree by BFS,
+        outside the sets already charged.  At each outer vertex u, in this
+        order:
 
         1. an unmatched neighbor of u ends an augmenting path, which is
            flipped.  The BFS shrinks no blossoms, so it may miss a path
@@ -335,12 +312,20 @@ class _Solver:
         """
         adj = self.adj
         mate = self.mate
+        if deg is None:
+            deg = [0] * len(adj)  # no degree beats 0, so v stays -1
         free = 0  # the unmatched vertices
+        v = -1
+        best_d = 0
         mm = mask
         while mm:
             lsb = mm & -mm
             i = lsb.bit_length() - 1
             mm ^= lsb
+            d = deg[i]
+            if d > best_d:
+                best_d = d
+                v = i
             cand = adj[i] & free
             if cand:
                 low = cand & -cand
@@ -350,13 +335,6 @@ class _Solver:
                 free ^= low
             else:
                 free |= lsb
-        return self._grow_trees(mask, free, target)
-
-    def _grow_trees(self, mask: int, free: int, target: int) -> int:
-        """The tree growth of _cover_bound, from a matching of mask held in
-        mate whose unmatched vertices are free."""
-        adj = self.adj
-        mate = self.mate
         # |mask| - |M|, with |M| = (|mask| - |free|) / 2
         bound = (mask.bit_count() + free.bit_count()) // 2
         parent = self.parent
@@ -407,7 +385,7 @@ class _Solver:
                     outer_bits |= 1 << y
                     nbrs &= avail
                     outer.append(y)
-        return bound
+        return bound, v
 
 
 def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
@@ -536,7 +514,7 @@ def _orbital_solve(
     and alpha(mask - orbit), whose group is unchanged.  Once every orbit
     is a single vertex the plain solver takes over.
     """
-    bound = solver._cover_bound(mask, lo)
+    bound = solver._cover_bound(mask, lo)[0]
     if bound <= lo:
         return bound, 0
     full = (1 << n) - 1

@@ -57,7 +57,6 @@ __all__ = [
     "Params",
     "SignedVector",
     "VectorFamily",
-    "make_vector",
     "parse_vector",
     "format_vector",
     "scalar_product",
@@ -91,7 +90,7 @@ class Params:
     l: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.k, int) and isinstance(self.l, int)):
+        if not (type(self.n) is int and type(self.k) is int and type(self.l) is int):  # bool is not a count
             raise InvalidParams(f"parameters must be integers, got ({self.n!r}, {self.k!r}, {self.l!r})")
         if not 1 <= self.l <= self.k:
             raise InvalidParams(f"need 1 <= l <= k, got k={self.k}, l={self.l}")
@@ -174,11 +173,6 @@ def _decode(code: int, n: int) -> SignedVector:
     object.__setattr__(v, "n", n)
     object.__setattr__(v, "code", code)
     return v
-
-
-def make_vector(n: int, plus: Iterable[int], minus: Iterable[int]) -> SignedVector:
-    """Build a SignedVector from 1-based index collections."""
-    return SignedVector(n, plus, minus)
 
 
 _NOT_SIGNS = str.maketrans("", "", "+-0")

@@ -145,7 +145,7 @@ def reference_solve(adj: tuple[int, ...], mask: int, lo: int) -> tuple[int, int,
         target = lo - taken
         if m == 0:
             return taken, chosen
-        bound = solver._cover_bound(m, target)
+        bound = solver._cover_bound(m, target)[0]
         if bound <= target:
             return taken + bound, 0
         s_in, w_in = solve(m & ~closed[v], target - 1)

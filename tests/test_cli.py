@@ -230,6 +230,15 @@ def test_search_kneser(capsys):
     assert "= 4" in out
 
 
+def test_search_kneser_with_witness_exit_two(tmp_path, capsys):
+    witness = tmp_path / "w.txt"
+    code, out, err = run(capsys, "search", "--kneser", "5", "2", "--witness", str(witness))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --witness applies to vector search only\n"
+    assert not witness.exists()
+
+
 @pytest.mark.parametrize("k", ["0", "5"])
 def test_search_kneser_k_out_of_range_exit_two(capsys, k):
     code, out, err = run(capsys, "search", "--kneser", "3", k)

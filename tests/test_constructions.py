@@ -13,6 +13,7 @@ from antipodal import (
     Params,
     Permutation,
     RegimeError,
+    SignedVector,
     TooLarge,
     apply_permutation,
     cardinality_v,
@@ -202,10 +203,8 @@ def test_permutation_preserves_products(p, seed, data):
 
 
 def _map_str(v, sigma):
-    from antipodal import make_vector
-
     return str(
-        make_vector(v.n, [sigma(i) for i in v.plus], [sigma(i) for i in v.minus])
+        SignedVector(v.n, [sigma(i) for i in v.plus], [sigma(i) for i in v.minus])
     )
 
 

@@ -72,6 +72,19 @@ def test_graph_rejects_self_loops():
         Graph.from_neighbor_lists(("a",), [{0}])
 
 
+@pytest.mark.parametrize(
+    "labels, adj, message",
+    [
+        (("a", "b"), (0b100, 0), "leaves the vertex range"),
+        (("a",), (0b1,), "self-loop"),
+        (("a", "b"), (0,), "adjacency masks"),
+    ],
+)
+def test_graph_rejects_bad_adjacency_masks(labels, adj, message):
+    with pytest.raises(InvalidParams, match=message):
+        Graph(labels, adj)
+
+
 @pytest.mark.parametrize("lists", [[[-1], []], [[1.0], [0]], [[2], []], [[], ["0"]]])
 def test_graph_rejects_neighbors_that_are_not_vertex_indices(lists):
     vertex = next(i for i, row in enumerate(lists) if row)
@@ -401,10 +414,10 @@ def _assert_cover_bound_sound(g):
     alpha = brute_max_independent(_neighbor_lists(g))
     greedy = _greedy_cover_bound(g.adj, mask)
     solver = search._Solver(g.adj, float("inf"))
-    full = solver._cover_bound(mask, -1)
+    full = solver._cover_bound(mask, -1)[0]
     assert alpha <= full <= _matching_cover_bound(g.adj, mask) <= greedy
     for target in range(-1, g.n + 1):
-        bound = solver._cover_bound(mask, target)
+        bound = solver._cover_bound(mask, target)[0]
         assert full <= bound <= greedy
         if bound > target:
             assert bound == full
@@ -439,7 +452,7 @@ def test_cover_bound_sound_on_random_graphs(seed):
         keep = sorted(rng.sample(range(g.n), rng.randrange(g.n + 1)))
         sub = sum(1 << i for i in keep)
         alpha = brute_max_independent(_neighbor_lists(_induced(g, keep)))
-        bound = solver._cover_bound(sub, -1)
+        bound = solver._cover_bound(sub, -1)[0]
         assert alpha <= bound <= _matching_cover_bound(g.adj, sub) <= _greedy_cover_bound(g.adj, sub)
 
 
@@ -459,7 +472,7 @@ def test_cover_bound_exact_on_bipartite_graphs(seed):
     rng.shuffle(order)
     g = _induced(Graph.from_neighbor_lists(tuple(map(str, order)), lists), order)
     alpha = brute_max_independent(_neighbor_lists(g))
-    assert search._Solver(g.adj, float("inf"))._cover_bound((1 << g.n) - 1, -1) == alpha
+    assert search._Solver(g.adj, float("inf"))._cover_bound((1 << g.n) - 1, -1)[0] == alpha
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(_ODD_CYCLE_GRAPHS) if "+" in name])

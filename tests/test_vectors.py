@@ -32,7 +32,6 @@ from antipodal import (
     find_antipodal_pair,
     format_vector,
     is_antipodal,
-    make_vector,
     parse_vector,
     scalar_product,
 )
@@ -75,7 +74,7 @@ def test_params_accepts_valid():
     assert p.nontrivial_regime and p.circle_regime
 
 
-@pytest.mark.parametrize("bad", [(4, 2, 0), (4, 1, 2), (3, 2, 2), (0, 1, 1), (2, 2, 1), (6.0, 2, 1)])
+@pytest.mark.parametrize("bad", [(4, 2, 0), (4, 1, 2), (3, 2, 2), (0, 1, 1), (2, 2, 1), (6.0, 2, 1), (4, True, 1)])
 def test_params_rejects_invalid(bad):
     with pytest.raises(InvalidParams):
         Params(*bad)
@@ -146,13 +145,13 @@ def test_parse_matches_per_character_reader_to_n_8():
             assert format_vector(v) == text
 
 
-def test_make_vector_errors():
+def test_signed_vector_errors():
     with pytest.raises(OverlapError):
         SignedVector(4, frozenset({1, 2}), frozenset({2}))
     with pytest.raises(RangeError):
-        make_vector(4, [1, 5], [2])
+        SignedVector(4, [1, 5], [2])
     with pytest.raises(RangeError):
-        make_vector(4, [0, 1], [2])  # coordinates are 1-based
+        SignedVector(4, [0, 1], [2])  # coordinates are 1-based
 
 
 def _outcome(f, *args):
@@ -361,7 +360,7 @@ def test_find_antipodal_pair_memory_does_not_grow_with_the_family():
     while len(codes) < 400:
         plus = [1, *rng.sample(range(2, 31), 3)]
         minus = rng.choice([i for i in range(2, 31) if i not in plus])
-        codes.add(make_vector(30, plus, [minus]).code)
+        codes.add(SignedVector(30, plus, [minus]).code)
     fam = VectorFamily.from_codes(p, codes)
     tracemalloc.start()
     try:
