@@ -120,7 +120,7 @@ class CircleReport:
 def _member_getters(h: VectorFamily) -> list[itemgetter]:
     """Per member of the circle family h, an itemgetter of a bit table's
     entries (see _bit_table) at its code's set bits: plus, then minus."""
-    return [itemgetter(*(j for j in range(2 * h.params.n) if v.code >> j & 1)) for v in h]
+    return [itemgetter(*(j for j in range(2 * h.params.n) if c >> j & 1)) for c in h.codes]
 
 
 def _bit_table(image, n: int) -> list[int]:
@@ -130,7 +130,7 @@ def _bit_table(image, n: int) -> list[int]:
     return bits + [b << n for b in bits]
 
 
-def _count(table, getters: list[itemgetter], codes: frozenset[int]) -> int:
+def _count(table, getters: list[itemgetter], codes: dict[int, None]) -> int:
     """|H(sigma) cap F|: the code of each image member is the sum of its
     entries in sigma's bit table."""
     return len([g for g in getters if sum(g(table)) in codes])
@@ -150,7 +150,7 @@ def _lane_columns(n: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(c.tobytes(), sys.byteorder) for c in columns)
 
 
-def _lane_histogram(h: VectorFamily, codes: frozenset[int]) -> dict[int, int]:
+def _lane_histogram(h: VectorFamily, codes: dict[int, None]) -> dict[int, int]:
     """Exhaustive histogram of |H(sigma) cap F| over all n! permutations,
     one pass per member of H over the lanes of _lane_columns."""
     n = h.params.n

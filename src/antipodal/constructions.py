@@ -11,9 +11,9 @@ Two deterministic constructions realize the known lower bounds:
   C(n-1, k+l-1) * C(k+l-1, k-1) = (k/n) |V|.  Antipodal-free because the
   plus sets all share coordinate 1.
 
-Both are produced by filtering the canonical enumeration, so member
-order is inherited from enumerate_v and the sizes double as regression
-oracles for the closed forms.
+Both are produced by filtering the codes of the canonical enumeration,
+so member order is inherited from enumerate_v and the sizes double as
+regression oracles for the closed forms.
 
 The circle family H places, for each i in [n], a cyclic run of k plus
 entries starting at i and a cyclic run of l minus entries ending just
@@ -85,19 +85,19 @@ def apply_permutation(fam: VectorFamily, sigma: Permutation) -> VectorFamily:
     if sigma.n != n:
         raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={n}")
     table = [x - 1 for x in sigma.image] + [n + x - 1 for x in sigma.image]
-    codes = (sum(1 << t for j, t in enumerate(table) if v.code >> j & 1) for v in fam)
+    codes = (sum(1 << t for j, t in enumerate(table) if c >> j & 1) for c in fam.codes)
     return VectorFamily.from_codes(fam.params, codes)
 
 
 def example1(p: Params) -> VectorFamily:
     """Vectors of V(n,k,l) whose largest support element lies in the minus
     set: the minus mask is the larger of the two disjoint masks."""
-    return enumerate_v(p).restrict(lambda v: v.code >> p.n > v.code & ((1 << p.n) - 1))
+    return enumerate_v(p).restrict_codes(lambda c: c >> p.n > c & ((1 << p.n) - 1))
 
 
 def example2(p: Params) -> VectorFamily:
     """Vectors of V(n,k,l) whose first coordinate is +1 (bit 0 of the code)."""
-    return enumerate_v(p).restrict(lambda v: v.code & 1)
+    return enumerate_v(p).restrict_codes(lambda c: c & 1)
 
 
 def _mod1(x: int, n: int) -> int:

@@ -9,8 +9,17 @@ Two formats are supported and detected automatically on read:
 * JSON: an object ``{"n": ..., "k": ..., "l": ..., "vectors": [...]}``
   with vectors in the same text encoding.
 
-Both writers emit members in family order, so output is deterministic
-and diff-friendly.
+Files are read as UTF-8, with or without a byte-order mark.  Both
+readers parse all vector lines in one pass (_vector_codes): each sign
+becomes a plus and a minus binary digit over the reversed join of the
+lines, and each line is two int(..., 2) calls.  A line that is empty or
+holds another character sends the lines through parse_vector one by
+one, which raises the first bad line's error.  The family is then
+checked once, as (n, code) pairs in line order (VectorFamily.from_pairs),
+so the first line that does not conform decides that error.
+
+Both writers emit members in family order, one format_codes text per
+line, so output is deterministic and diff-friendly.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import json
 from pathlib import Path
 
 from .errors import BadCharacter, EmptyInput, InvalidParams
-from .vectors import Params, SignedVector, VectorFamily, format_vector, parse_vector
+from .vectors import Params, VectorFamily, parse_vector
 
 __all__ = [
     "load_family",
@@ -31,39 +40,66 @@ __all__ = [
 ]
 
 
+_PLUS_DIGITS = bytes.maketrans(b"+-0", b"100")
+_MINUS_DIGITS = bytes.maketrans(b"+-0", b"010")
+
+
+def _vector_codes(lines: list[str]) -> list[tuple[int, int]]:
+    """(n, code) of each vector line, in order, as parse_vector reads it;
+    parse_vector's error for the first line it rejects."""
+    if not lines:
+        return []
+    joined = ",".join(lines).encode("utf-8", "replace")
+    if "" in lines or joined.translate(None, b"+-0") != b"," * (len(lines) - 1):
+        for line in lines:
+            parse_vector(line)
+    # Reversed, the join holds the lines last to first, each reversed, so
+    # bit i - 1 of a line's masks is its character i.
+    rev = joined[::-1]
+    plus, minus = rev.translate(_PLUS_DIGITS).split(b","), rev.translate(_MINUS_DIGITS).split(b",")
+    return [(len(q), int(q, 2) | int(m, 2) << len(q)) for q, m in zip(reversed(plus), reversed(minus))]
+
+
 def family_to_text(fam: VectorFamily) -> str:
     p = fam.params
-    lines = [f"V {p.n} {p.k} {p.l}"]
-    lines.extend(format_vector(v) for v in fam)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"V {p.n} {p.k} {p.l}", *fam.strings()]) + "\n"
+
+
+def _header(line: str, lineno: int, params: Params | None) -> Params:
+    fields = line.split()
+    if params is not None:
+        raise InvalidParams(f"line {lineno}: duplicate header")
+    if len(fields) != 4:
+        raise InvalidParams(f"line {lineno}: header must read 'V n k l'")
+    try:
+        n, k, l = (int(f) for f in fields[1:])
+    except ValueError as exc:
+        raise InvalidParams(f"line {lineno}: non-integer header field") from exc
+    return Params(n, k, l)
 
 
 def family_from_text(text: str) -> VectorFamily:
     params: Params | None = None
-    vectors: list[SignedVector] = []
+    lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("V ") or line == "V":
-            fields = line.split()
-            if params is not None:
-                raise InvalidParams(f"line {lineno}: duplicate header")
-            if len(fields) != 4:
-                raise InvalidParams(f"line {lineno}: header must read 'V n k l'")
             try:
-                n, k, l = (int(f) for f in fields[1:])
-            except ValueError as exc:
-                raise InvalidParams(f"line {lineno}: non-integer header field") from exc
-            params = Params(n, k, l)
+                params = _header(line, lineno, params)
+            except InvalidParams:
+                _vector_codes(lines)  # a bad vector line above the header comes first
+                raise
             continue
-        vectors.append(parse_vector(line))
+        lines.append(line)
+    pairs = _vector_codes(lines)
     if params is None:
-        if not vectors:
+        if not pairs:
             raise EmptyInput("no header and no vectors in family text")
-        first = vectors[0]
-        params = Params(first.n, len(first.plus), len(first.minus))
-    return VectorFamily(params, vectors)
+        n, code = pairs[0]
+        params = Params(n, (code & ((1 << n) - 1)).bit_count(), (code >> n).bit_count())
+    return VectorFamily.from_pairs(params, pairs)
 
 
 def family_to_json(fam: VectorFamily) -> str:
@@ -86,13 +122,14 @@ def family_from_json(text: str) -> VectorFamily:
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise InvalidParams("JSON field 'vectors' must be a list of strings")
     params = Params(payload["n"], payload["k"], payload["l"])
-    return VectorFamily(params, (parse_vector(s) for s in raw))
+    return VectorFamily.from_pairs(params, _vector_codes(raw))
 
 
 def load_family(path: str | Path) -> VectorFamily:
-    """Read a family file, sniffing JSON vs text by the first character."""
+    """Read a family file, sniffing JSON vs text by the first character;
+    a UTF-8 byte-order mark is dropped."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise BadCharacter(f"family file {path} is not UTF-8 text: {exc}") from exc
     if not text.strip():

@@ -557,7 +557,7 @@ def antipodality_graph(p: Params) -> Graph:
         raise TooLarge(f"|V({p.n},{p.k},{p.l})| exceeds the vertex cap {VERTEX_CAP}")
     fam = enumerate_v(p)
     labels = fam.strings()
-    codes = [v.code for v in fam]
+    codes = list(fam.codes)
     index = {c: i for i, c in enumerate(codes)}
     adj = []
     for code in codes:

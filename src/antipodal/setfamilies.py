@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GroundMismatch, InvalidParams, PreconditionError, RangeError, TooLarge
 from .vectors import comb_exceeds
@@ -29,6 +29,7 @@ from .vectors import comb_exceeds
 __all__ = [
     "SetFamily",
     "is_intersecting",
+    "all_pairs_meet",
     "is_cross_intersecting",
     "proposition1_holds",
     "verify_prop1_exhaustive",
@@ -79,10 +80,15 @@ class SetFamily:
 
 def is_intersecting(fam: SetFamily) -> bool:
     """Every two members share an element; empty and singleton families pass."""
-    ms = fam.members
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if not (ms[i] & ms[j]):
+    return all_pairs_meet(fam.members)
+
+
+def all_pairs_meet(sets: Sequence) -> bool:
+    """Every two of these sets share an element; the sets are frozensets
+    or bitmasks, anything whose & is empty or 0 when they are disjoint."""
+    for i, x in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            if not x & sets[j]:
                 return False
     return True
 

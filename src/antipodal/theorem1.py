@@ -27,15 +27,20 @@ behind theorem1_bound:
 Violations discovered at any stage are collected in the report, never
 raised; an empty violation list certifies every inequality above.
 
-Stages 1 and 2 read the slices from one builder (_slices) that works on
-vector codes: it visits each member once and files it under every
-l-subset A of its plus mask, with B its minus mask, so all slices cost
-|F| C(k, l) steps.  lemma1_check then pairs F(A, B) with F(B, A): two
-filed members fold into disjoint (C, D) exactly when their codes share
-no bit, i.e. when they are an antipodal pair.  Both stages also walk
-all C(n, l) C(n - l, l) ordered disjoint l-pairs, a count set by n
-alone; over _PAIR_CAP of them they raise TooLarge before building
-anything, so a header-only file cannot make them run for long.
+Every stage works on the family's member codes (VectorFamily.codes)
+and formats or decodes a vector only for the report: the deleted
+vectors and the data of a violation.  Stages 1 and 2 read the slices
+from one builder (_slices): it visits each member once and files its
+code under every l-subset A of its plus mask, with B its minus mask, so
+all slices cost |F| C(k, l) steps; the l-subsets are built once per run
+of members with the same plus mask.  lemma1_check then pairs F(A, B)
+with F(B, A): two filed members fold into disjoint (C, D) exactly when
+their codes share no bit, i.e. when they are an antipodal pair.  Both
+stages also walk all C(n, l) C(n - l, l) ordered disjoint l-pairs, a
+count set by n alone; over _PAIR_CAP of them they raise TooLarge before
+building anything, so a header-only file cannot make them run for long.
+The deletion keeps the survivors as codes, and lemma2_check groups their
+minus masks by support mask and tests each group with all_pairs_meet.
 """
 
 from __future__ import annotations
@@ -46,14 +51,16 @@ from typing import Iterable
 
 from .bounds import choose, theorem1_bound
 from .errors import BadPair, BadT, RangeError, TooLarge
-from .setfamilies import SetFamily, is_intersecting
+from .setfamilies import SetFamily, all_pairs_meet
 from .vectors import (
     Params,
-    SignedVector,
     VectorFamily,
     comb_exceeds,
     find_antipodal_pair,
+    format_codes,
     format_vector,
+    mask_indices,
+    subset_masks,
 )
 
 __all__ = [
@@ -142,17 +149,20 @@ def _check_pair(p: Params, a: frozenset[int], b: frozenset[int]) -> None:
     _check_indices(p, a | b)
 
 
-def _slices(fam: VectorFamily) -> dict[tuple[int, int], list[SignedVector]]:
-    """The members behind every nonempty slice F(A, B), in member order,
-    keyed by the bitmasks (A, B)."""
+def _slices(fam: VectorFamily) -> dict[int, list[int]]:
+    """The member codes behind every nonempty slice F(A, B), in member
+    order, keyed by the code A | B << n of the pair."""
     p = fam.params
-    full = (1 << p.n) - 1
-    out: dict[tuple[int, int], list[SignedVector]] = {}
-    for v in fam:
-        plus = v.code & full
-        bits = [1 << i for i in range(p.n) if plus >> i & 1]
-        for a in combinations(bits, p.l):
-            out.setdefault((sum(a), v.code >> p.n), []).append(v)
+    n, full = p.n, (1 << p.n) - 1
+    out: dict[int, list[int]] = {}
+    last_plus = None
+    for code in fam.codes:
+        plus = code & full
+        if plus != last_plus:
+            last_plus, subsets = plus, subset_masks(plus, p.l)
+        b = code >> n << n
+        for a in subsets:
+            out.setdefault(a | b, []).append(code)
     return out
 
 
@@ -189,8 +199,10 @@ def subfamily(fam: VectorFamily, a: Iterable[int], b: Iterable[int]) -> SetFamil
     p = fam.params
     a, b = frozenset(a), frozenset(b)
     _check_pair(p, a, b)
-    key = (sum(1 << (i - 1) for i in a), sum(1 << (i - 1) for i in b))
-    return SetFamily(p.n, p.k - p.l, [v.plus - a for v in _slices(fam).get(key, ())])
+    a_mask, b_mask = sum(1 << (i - 1) for i in a), sum(1 << (i - 1) for i in b)
+    full = (1 << p.n) - 1
+    codes = _slices(fam).get(a_mask | b_mask << p.n, ())
+    return SetFamily(p.n, p.k - p.l, [mask_indices(c & full ^ a_mask) for c in codes])
 
 
 def lemma1_check(fam: VectorFamily) -> TraceReport:
@@ -201,19 +213,20 @@ def lemma1_check(fam: VectorFamily) -> TraceReport:
     reported.  Antipodal-free input therefore yields no violations.
     """
     p = fam.params
+    n, full = p.n, (1 << p.n) - 1
     pairs = _ordered_pairs(p)
     report = TraceReport(family_size=len(fam), threshold=choose(p.n - 2 * p.l - 1, p.k - p.l - 1))
     slices = _slices(fam)
     for a, b, a_mask, b_mask in pairs:
         if b < a:  # the unordered pair was handled at (b, a)
             continue
-        slice_ab = slices.get((a_mask, b_mask), ())
-        slice_ba = slices.get((b_mask, a_mask), ())
+        slice_ab = slices.get(a_mask | b_mask << n, ())
+        slice_ba = slices.get(b_mask | a_mask << n, ())
         report.pair_counts[(a, b)] = len(slice_ab)
         report.pair_counts[(b, a)] = len(slice_ba)
         for v in slice_ab:
             for w in slice_ba:
-                if not v.code & w.code:
+                if not v & w:
                     report.violations.append(
                         Violation(
                             "lemma1",
@@ -221,9 +234,9 @@ def lemma1_check(fam: VectorFamily) -> TraceReport:
                             {
                                 "A": list(a),
                                 "B": list(b),
-                                "C": sorted(v.plus.difference(a)),
-                                "D": sorted(w.plus.difference(b)),
-                                "antipodal_pair": [format_vector(v), format_vector(w)],
+                                "C": list(mask_indices(v & full ^ a_mask)),
+                                "D": list(mask_indices(w & full ^ b_mask)),
+                                "antipodal_pair": format_codes((v, w), n),
                             },
                         )
                     )
@@ -237,20 +250,21 @@ def deletion_procedure(fam: VectorFamily) -> tuple[VectorFamily, TraceReport]:
     per-pair deletion charges, and the accounting lower bound on |F'|.
     """
     p = fam.params
+    n = p.n
     pairs = _ordered_pairs(p)
     threshold = choose(p.n - 2 * p.l - 1, p.k - p.l - 1)
     report = TraceReport(family_size=len(fam), threshold=threshold)
     slices = _slices(fam)
     doomed: set[int] = set()
     for a, b, a_mask, b_mask in pairs:
-        indexed = slices.get((a_mask, b_mask), ())
+        indexed = slices.get(a_mask | b_mask << n, ())
         report.pair_counts[(a, b)] = len(indexed)
         if len(indexed) <= threshold:
-            fresh = [v.code for v in indexed if v.code not in doomed]
+            fresh = [c for c in indexed if c not in doomed]
             report.deletions[(a, b)] = len(fresh)
             doomed.update(fresh)
-    survivors = VectorFamily(p, (v for v in fam if v.code not in doomed))
-    report.deleted = tuple(format_vector(v) for v in fam if v.code in doomed)
+    survivors = fam.restrict_codes(lambda c: c not in doomed)
+    report.deleted = tuple(format_codes([c for c in fam.codes if c in doomed], n))
     report.survivor_size = len(survivors)
     report.accounting_lower_bound = len(fam) - choose(p.n, 2 * p.l) * choose(2 * p.l, p.l) * threshold
     if report.survivor_size != report.family_size - sum(report.deletions.values()):
@@ -273,8 +287,9 @@ def family_b(fam: VectorFamily, t: Iterable[int]) -> SetFamily:
     if len(t) != p.k + p.l:
         raise BadT(f"support set must have size k+l={p.k + p.l}, got {len(t)}")
     _check_indices(p, t)
-    t_mask, full = sum(1 << (i - 1) for i in t), (1 << p.n) - 1
-    return SetFamily(p.n, p.l, [v.minus for v in fam if (v.code | v.code >> p.n) & full == t_mask])
+    n, full = p.n, (1 << p.n) - 1
+    t_mask = sum(1 << (i - 1) for i in t)
+    return SetFamily(p.n, p.l, [mask_indices(c >> n) for c in fam.codes if (c | c >> n) & full == t_mask])
 
 
 def lemma2_check(fam: VectorFamily) -> TraceReport:
@@ -286,29 +301,29 @@ def lemma2_check(fam: VectorFamily) -> TraceReport:
     trace is returned with family_b_sizes and these violations added.
     """
     p = fam.params
+    n, full = p.n, (1 << p.n) - 1
     survivors, report = deletion_procedure(fam)
     cap = choose(p.k + p.l - 1, p.l - 1)
-    by_support: dict[int, list[SignedVector]] = {}
-    for v in survivors:  # keyed by support mask
-        by_support.setdefault((v.code | v.code >> p.n) & ((1 << p.n) - 1), []).append(v)
-    groups = sorted((tuple(sorted(g[0].support)), g) for g in by_support.values())
-    for t_key, group in groups:
-        bt = SetFamily(p.n, p.l, [v.minus for v in group])
-        report.family_b_sizes[t_key] = len(bt)
-        if not is_intersecting(bt):
+    by_support: dict[int, list[int]] = {}  # minus masks of the survivors by support mask
+    for code in survivors.codes:
+        minus = code >> n
+        by_support.setdefault((code | minus) & full, []).append(minus)
+    for t_key, minus_masks in sorted((mask_indices(t), m) for t, m in by_support.items()):
+        report.family_b_sizes[t_key] = len(minus_masks)
+        if not all_pairs_meet(minus_masks):
             report.violations.append(
                 Violation(
                     "lemma2",
                     "surviving minus sets over a support are not intersecting",
-                    {"T": list(t_key), "members": [sorted(s) for s in bt]},
+                    {"T": list(t_key), "members": [list(mask_indices(m)) for m in minus_masks]},
                 )
             )
-        if len(bt) > cap:
+        if len(minus_masks) > cap:
             report.violations.append(
                 Violation(
                     "lemma2-cap",
                     "surviving minus sets over a support exceed the EKR cap",
-                    {"T": list(t_key), "size": len(bt), "cap": cap},
+                    {"T": list(t_key), "size": len(minus_masks), "cap": cap},
                 )
             )
     return report

@@ -16,12 +16,19 @@ the central objects of this toolkit.
 A SignedVector stores only its dimension n and one integer code,
 plus_mask | minus_mask << n, where bit i - 1 of each mask stands for
 coordinate i (SignedVector.code).  Everything works on that code:
-parsing, formatting, the scalar product and the antipodality test are
-mask operations, and the index-set views plus, minus and support are
-frozensets decoded from it on demand.  _decode is the one way to make a
-vector from a code; other modules build families from codes with
-VectorFamily.from_codes.  A VectorFamily indexes its members by code
-(VectorFamily.codes).
+parsing, formatting (format_code), the scalar product and the
+antipodality test are mask operations, and the index-set views plus,
+minus and support are frozensets decoded from it on demand.  _decode is
+the one way to make a vector from a code.
+
+A VectorFamily is its parameters and its member codes: `codes` is
+dict.fromkeys of them, which keeps member order, keeps the first of any
+duplicates and answers membership in O(1).  Members are decoded into
+SignedVectors only on demand (members, iteration).  Every constructor
+checks the codes once, as (n, code) pairs in member order, so the first
+nonconforming member decides the error; from_codes and from_pairs take
+codes without decoding them, and restrict_codes filters a checked family
+without checking it again.
 
 The antipodal partners of a code are generated as codes by
 partner_codes: the partner's minus set takes l of the vector's plus
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
@@ -59,6 +66,10 @@ __all__ = [
     "VectorFamily",
     "parse_vector",
     "format_vector",
+    "format_code",
+    "format_codes",
+    "mask_indices",
+    "subset_masks",
     "scalar_product",
     "is_antipodal",
     "enumerate_v",
@@ -133,16 +144,16 @@ class SignedVector:
 
     @property
     def plus(self) -> frozenset[int]:
-        return _mask_indices(_masks(self)[0])
+        return frozenset(mask_indices(_masks(self)[0]))
 
     @property
     def minus(self) -> frozenset[int]:
-        return _mask_indices(_masks(self)[1])
+        return frozenset(mask_indices(_masks(self)[1]))
 
     @property
     def support(self) -> frozenset[int]:
         plus, minus = _masks(self)
-        return _mask_indices(plus | minus)
+        return frozenset(mask_indices(plus | minus))
 
     def entry(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -161,9 +172,9 @@ def _masks(v: SignedVector) -> tuple[int, int]:
     return v.code & ((1 << v.n) - 1), v.code >> v.n
 
 
-def _mask_indices(mask: int) -> frozenset[int]:
-    """The 1-based coordinates of the set bits of mask."""
-    return frozenset(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The 1-based coordinates of the set bits of mask, ascending."""
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
 
 
 def _decode(code: int, n: int) -> SignedVector:
@@ -196,10 +207,32 @@ def parse_vector(text: str) -> SignedVector:
     return _decode(plus | minus << n, n)
 
 
+_OCTAL_SIGNS = str.maketrans("12", "+-")
+
+
 def format_vector(v: SignedVector) -> str:
     """Inverse of parse_vector."""
-    code, n = v.code, v.n
-    return "".join(["+" if code >> i & 1 else "-" if code >> (n + i) & 1 else "0" for i in range(n)])
+    return format_code(v.code, v.n)
+
+
+def format_code(code: int, n: int) -> str:
+    """The text of the vector with this code at dimension n."""
+    return format_codes((code,), n)[0]
+
+
+def format_codes(codes: Iterable[int], n: int) -> list[str]:
+    """The texts of the vectors with these codes at dimension n, in order.
+
+    Each mask's binary digits, read as octal, put one octal digit per
+    coordinate, so plus + 2 * minus has digit 1 at a plus coordinate, 2
+    at a minus one and 0 elsewhere: written out in n octal digits, it
+    spells the vector last coordinate first.  The numerals are joined,
+    reversed and translated to signs in one call each."""
+    full = (1 << n) - 1
+    numerals = [f"{int(f'{c & full:b}', 8) + 2 * int(f'{c >> n:b}', 8):0{n}o}" for c in codes]
+    if not (n and numerals):  # at n = 0 each numeral is "0"; no numerals would split into [""]
+        return ["" for _ in numerals]
+    return ",".join(numerals)[::-1].translate(_OCTAL_SIGNS).split(",")[::-1]
 
 
 def scalar_product(v: SignedVector, w: SignedVector) -> int:
@@ -212,25 +245,29 @@ def scalar_product(v: SignedVector, w: SignedVector) -> int:
     return (v.code & w.code).bit_count() - (v.code & (w_minus | w_plus << w.n)).bit_count()
 
 
-def _check_conforms(vectors: Iterable[SignedVector], p: Params) -> None:
-    """Raise unless every vector is a member of V(n, k, l)."""
+def _conforming_codes(pairs: Iterable[tuple[int, int]], p: Params) -> dict[int, None]:
+    """The codes of these (n, code) pairs as dict.fromkeys, in order
+    and without repeats; the first pair that is not a member of
+    V(n, k, l) raises."""
     n, k, l = p.n, p.k, p.l
     full = (1 << n) - 1
-    for v in vectors:
-        code = v.code
+    codes: dict[int, None] = {}
+    for vn, code in pairs:
         plus, minus = code & full, code >> n
-        if v.n != n or code < 0 or plus & minus or minus >> n or plus.bit_count() != k or minus.bit_count() != l:
-            _raise_nonconforming(v, p)
+        if vn != n or code < 0 or plus & minus or minus >> n or plus.bit_count() != k or minus.bit_count() != l:
+            _raise_nonconforming(vn, code, p)
+        codes[code] = None
+    return codes
 
 
-def _raise_nonconforming(v: SignedVector, p: Params) -> NoReturn:
-    """Raise the error for a v that _check_conforms rejects, naming the
-    first test it fails."""
-    if v.n != p.n:
-        raise DimensionMismatch(f"vector has n={v.n}, params have n={p.n}")
-    plus, minus = _masks(v)
-    if v.code < 0 or plus & minus or minus >> p.n:  # only from_codes can get here
-        raise InvalidParams(f"{v.code!r} is not a vector code at n={p.n}")
+def _raise_nonconforming(n: int, code: int, p: Params) -> NoReturn:
+    """Raise the error for a pair that _conforming_codes rejects, naming
+    the first test it fails."""
+    if n != p.n:
+        raise DimensionMismatch(f"vector has n={n}, params have n={p.n}")
+    plus, minus = code & ((1 << n) - 1), code >> n
+    if code < 0 or plus & minus or minus >> n:  # not from a SignedVector
+        raise InvalidParams(f"{code!r} is not a vector code at n={p.n}")
     raise InvalidParams(
         f"vector has {plus.bit_count()} plus / {minus.bit_count()} minus entries, params require k={p.k}, l={p.l}"
     )
@@ -245,7 +282,7 @@ def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
     internal consistency check; for conforming inputs the equivalence is
     a theorem, so the RuntimeError can only fire on a coding error.
     """
-    _check_conforms((v, w), p)
+    _conforming_codes(((v.n, v.code), (w.n, w.code)), p)
     by_product = scalar_product(v, w) == -2 * p.l
     (v_plus, v_minus), (w_plus, w_minus) = _masks(v), _masks(w)
     by_containment = not (v_minus & ~w_plus or w_minus & ~v_plus or v_plus & w_plus)
@@ -255,47 +292,64 @@ def is_antipodal(v: SignedVector, w: SignedVector, p: Params) -> bool:
 
 
 class VectorFamily:
-    """Duplicate-free ordered collection of vectors sharing one Params.
+    """Duplicate-free ordered collection of vectors sharing one Params,
+    held as its member codes (`codes`, see the module docstring).
 
     Construction validates that every member conforms to the parameters;
-    duplicates are dropped, keeping the first occurrence.  The members
-    are indexed by code: `codes` is the frozenset of their codes, which
-    membership tests and the antipodal searches look up.
+    duplicates are dropped, keeping the first occurrence.
     """
 
-    __slots__ = ("params", "members", "codes")
+    __slots__ = ("params", "codes")
 
     def __init__(self, params: Params, members: Iterable[SignedVector]):
-        members = list(members)
-        _check_conforms(members, params)
-        kept: dict[int, SignedVector] = {}
-        for v in members:
-            kept.setdefault(v.code, v)
         self.params = params
-        self.members: tuple[SignedVector, ...] = tuple(kept.values())
-        self.codes: frozenset[int] = frozenset(kept)
+        self.codes: dict[int, None] = _conforming_codes(((v.n, v.code) for v in members), params)
+
+    @classmethod
+    def _of(cls, params: Params, codes: dict[int, None]) -> "VectorFamily":
+        """The family with these checked codes, taken as they are."""
+        fam = object.__new__(cls)
+        fam.params, fam.codes = params, codes
+        return fam
+
+    @classmethod
+    def from_pairs(cls, params: Params, pairs: Iterable[tuple[int, int]]) -> "VectorFamily":
+        """The family of the vectors with these (n, code) pairs, in order,
+        checked as the constructor checks SignedVectors: a pair with
+        another n raises DimensionMismatch."""
+        return cls._of(params, _conforming_codes(pairs, params))
 
     @classmethod
     def from_codes(cls, params: Params, codes: Iterable[int]) -> "VectorFamily":
         """The family of the vectors with these codes, in order;
         InvalidParams for an int that is not a code at dimension n."""
-        return cls(params, (_decode(c, params.n) for c in codes))
+        return cls.from_pairs(params, zip(repeat(params.n), codes))
+
+    @property
+    def members(self) -> tuple[SignedVector, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[SignedVector]:
-        return iter(self.members)
+        return map(_decode, self.codes, repeat(self.params.n))
 
     def __contains__(self, v: object) -> bool:
         return isinstance(v, SignedVector) and v.n == self.params.n and v.code in self.codes
 
     def strings(self) -> tuple[str, ...]:
-        return tuple(format_vector(v) for v in self.members)
+        return tuple(format_codes(self.codes, self.params.n))
 
     def restrict(self, keep) -> "VectorFamily":
         """Subfamily of members satisfying the predicate, order preserved."""
-        return VectorFamily(self.params, (v for v in self.members if keep(v)))
+        n = self.params.n
+        return self.restrict_codes(lambda c: keep(_decode(c, n)))
+
+    def restrict_codes(self, keep) -> "VectorFamily":
+        """Subfamily of members whose code satisfies the predicate, order
+        preserved; the codes were checked when this family was built."""
+        return self._of(self.params, {c: None for c in self.codes if keep(c)})
 
     def __repr__(self) -> str:
         p = self.params
@@ -356,7 +410,7 @@ def cardinality_v(p: Params) -> int:
     return by_placement
 
 
-def _subset_masks(mask: int, r: int) -> list[int]:
+def subset_masks(mask: int, r: int) -> list[int]:
     """The r-subsets of the set bits of mask, as masks, in lexicographic
     order of their bit positions.  The bits are read off bin(mask), as
     mask & -mask would give each one the memory of the whole mask."""
@@ -368,7 +422,7 @@ def _partner_lists(plus: int, p: Params) -> tuple[list[int], list[int]]:
     """What the partners of any member with this plus mask are made of:
     their minus masks (the l-subsets of plus) and the (k - l)-subsets of
     the other n - k coordinates, each in lexicographic order."""
-    return _subset_masks(plus, p.l), _subset_masks(((1 << p.n) - 1) ^ plus, p.k - p.l)
+    return subset_masks(plus, p.l), subset_masks(((1 << p.n) - 1) ^ plus, p.k - p.l)
 
 
 def _partner_plus(minus: int, off_plus: list[int]) -> list[int]:
@@ -399,7 +453,7 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     antipodal w arises exactly once, so the count is antipodal_degree(p).
     The brute-force cross-check lives in the test suite.
     """
-    _check_conforms((v,), p)
+    _conforming_codes(((v.n, v.code),), p)
     return [_decode(c, p.n) for c in partner_codes(v.code, p)]
 
 
@@ -418,15 +472,15 @@ def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] 
     for code in fam.codes:
         plus_by_minus.setdefault(code >> n, set()).add(code & full)
     last_plus = None
-    for v in fam:
-        plus, minus = v.code & full, v.code >> n
+    for code in fam.codes:
+        plus = code & full
         if plus != last_plus:
             last_plus, (new_minus, off_plus) = plus, _partner_lists(plus, p)
-        new_plus = _partner_plus(minus, off_plus)
+        new_plus = _partner_plus(code >> n, off_plus)
         for m in new_minus:
             found = plus_by_minus.get(m)
             if found is not None and not found.isdisjoint(new_plus):
-                return v, _decode(m << n | next(q for q in new_plus if q in found), n)
+                return _decode(code, n), _decode(m << n | next(q for q in new_plus if q in found), n)
     return None
 
 

@@ -85,3 +85,43 @@ def test_summary_table_counts_match_the_table(capsys):
         attained = sum(row[name] == row["alpha"] for row in rows)
         assert line == f"  optimum attained by {name:<9} {attained:>3} times"
     assert len(lines) == 6
+
+def _bench_result(wall, setup, failed=0):
+    return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": {
+        "setup_s": {"value": setup, "unit": "s"}, "wall_s": {"value": wall, "unit": "s"}}}
+
+def test_bench_pairs_summarizes_canned_runs():
+    module = _load("bench_pairs")
+    parent = [_bench_result(w, 0.2) for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    change = [_bench_result(w, s, f) for w, s, f in ((0.5, 0.1, 0), (2.5, 0.2, 1), (1.0, 0.3, 0), (3.0, 0.2, 0), (6.0, 0.1, 0))]
+    summary = module.summarize(parent, change)
+    assert summary["pairs"] == 5
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 50, "change": 50}
+    wall = summary["metrics"]["wall_s"]
+    assert (wall["parent_median"], wall["change_median"]) == (3.0, 2.5)
+    assert wall["parent_iqr"] == [1.5, 4.5]
+    assert wall["change_lower"] == 3
+    assert wall["change"] == [0.5, 2.5, 1.0, 3.0, 6.0] and wall["unit"] == "s"
+    setup = summary["metrics"]["setup_s"]
+    assert setup["parent_iqr"] == [0.2, 0.2] and setup["change_lower"] == 2
+    assert module.quartiles([7.0]) == [7.0, 7.0]
+
+def test_bench_pairs_alternates_and_ends_with_the_summary(capsys, monkeypatch):
+    module = _load("bench_pairs")
+    calls = []
+
+    def fake_run(root, workload, seconds, seed):
+        calls.append((root, workload, seconds, seed))
+        return _bench_result(1.0 if root == "old" else 0.5, 0.2)
+
+    monkeypatch.setattr(module, "run_once", fake_run)
+    argv = ["old", "new", "--workload", "certify", "--pairs", "3", "--seconds", "2", "--seed", "4"]
+    assert module.main(argv) == 0
+    assert [c[0] for c in calls] == ["old", "new", "new", "old", "old", "new"]
+    assert {c[1:] for c in calls} == {("certify", 2.0, 4)}
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["metrics"]["wall_s"]["change_lower"] == 3
+    assert (summary["workload"], summary["pairs"], summary["seed"]) == ("certify", 3, 4)
+    assert lines[0] == "certify, 3 pairs of 2 s runs at seed 4: parent -> change"

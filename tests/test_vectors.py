@@ -485,6 +485,17 @@ def test_family_dedupes_preserving_order():
     assert parse_vector("+0+-") not in fam
 
 
+def test_family_codes_keep_member_order_and_the_first_of_duplicates():
+    p = Params(4, 2, 1)
+    a, b, c = parse_vector("++-0"), parse_vector("0+-+"), parse_vector("+0-+")
+    for fam in (VectorFamily(p, [b, a, b, c, a]), VectorFamily.from_codes(p, [b.code, a.code, b.code, c.code, a.code])):
+        assert type(fam.codes) is dict
+        assert list(fam.codes) == [b.code, a.code, c.code]
+        assert fam.members == (b, a, c) == tuple(fam)
+        assert fam.strings() == ("0+-+", "++-0", "+0-+")
+        assert len(fam) == 3 and a in fam and parse_vector("++0-") not in fam
+
+
 def test_family_rejects_nonconforming():
     p = Params(4, 2, 1)
     with pytest.raises(DimensionMismatch):
