@@ -7,7 +7,7 @@ scale:
 * interval cap: in the regime 2k <= n <= 3k - l, an antipodal-free
   family meets every H(sigma) in at most k members.  The companion
   combinatorial fact, that at most k of the n cyclic k-intervals can
-  pairwise intersect, is computed exactly by max_intersecting_cyclic.
+  pairwise intersect (Katona), is checked by brute force in the suite.
 * double counting: summed over ALL n! permutations, |H(sigma) cap F| =
   |F| n k! l! (n-k-l)! for ANY subfamily F of V(n, k, l), because each
   fixed vector lands in H(sigma) for exactly n k! l! (n-k-l)! choices of
@@ -59,7 +59,6 @@ from operator import itemgetter
 from .bounds import theorem2_bound
 from .constructions import Permutation, apply_permutation, circle_family
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
-from .search import disjointness_graph, max_independent_set
 from .theorem1 import Violation, antipodal_free_precheck
 from .vectors import VectorFamily
 
@@ -67,7 +66,6 @@ __all__ = [
     "CircleReport",
     "lemma3_count",
     "lemma3_sweep",
-    "max_intersecting_cyclic",
     "double_count_check",
     "theorem2_certify",
 ]
@@ -228,18 +226,6 @@ def lemma3_sweep(
         cap=p.k,
         seed=used_seed,
     )
-
-
-def max_intersecting_cyclic(n: int, k: int) -> int:
-    """Exact maximum number of pairwise-intersecting cyclic k-intervals of [n].
-
-    Computed as a maximum independent set of the interval disjointness
-    graph; for n >= 2k the answer is k, which the suite pins down.
-    """
-    if n < 2 * k or k < 1:
-        raise RegimeError(f"need n >= 2k >= 2, got n={n}, k={k}")
-    intervals = [[(i + t - 1) % n + 1 for t in range(k)] for i in range(1, n + 1)]
-    return max_independent_set(disjointness_graph(intervals)).optimum
 
 
 def double_count_check(

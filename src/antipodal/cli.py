@@ -25,7 +25,7 @@ from .familyfile import family_to_json, family_to_text, load_family, save_family
 from .search import DEFAULT_BUDGET, max_antipodal_free, max_intersecting
 from .setfamilies import verify_prop1_exhaustive
 from .theorem1 import antipodal_free_precheck, certify_theorem1, check_pair_cap, lemma1_check, lemma2_check
-from .vectors import Params, VectorFamily, enumerate_v, parse_vector
+from .vectors import Params, VectorFamily, enumerate_v, parse_codes
 
 __all__ = ["main"]
 
@@ -285,7 +285,7 @@ def _cmd_search(args) -> int:
         headline = f"alpha({p.n},{p.k},{p.l}) = {result.optimum}"
     if args.witness:
         # Written before anything is printed, so a failed write leaves stdout empty.
-        save_family(VectorFamily(p, (parse_vector(s) for s in result.witness)), args.witness)
+        save_family(VectorFamily.from_pairs(p, parse_codes(result.witness)), args.witness)
     if args.json:
         payload = result.as_dict()
         payload["exact"] = result.proof_of_optimality

@@ -23,7 +23,6 @@ skeleton the circle-method verifiers permute and intersect against.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
@@ -31,7 +30,6 @@ from .vectors import Params, VectorFamily, enumerate_v
 
 __all__ = [
     "Permutation",
-    "random_permutation",
     "apply_permutation",
     "example1",
     "example2",
@@ -61,18 +59,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatch(f"cannot compose permutations of sizes {self.n} and {other.n}")
-        return Permutation(tuple(self.image[j - 1] for j in other.image))
-
-
-def random_permutation(n: int, rng: random.Random) -> Permutation:
-    image = list(range(1, n + 1))
-    rng.shuffle(image)
-    return Permutation(tuple(image))
 
 
 def apply_permutation(fam: VectorFamily, sigma: Permutation) -> VectorFamily:

@@ -10,13 +10,11 @@ Two formats are supported and detected automatically on read:
   with vectors in the same text encoding.
 
 Files are read as UTF-8, with or without a byte-order mark.  Both
-readers parse all vector lines in one pass (_vector_codes): each sign
-becomes a plus and a minus binary digit over the reversed join of the
-lines, and each line is two int(..., 2) calls.  A line that is empty or
-holds another character sends the lines through parse_vector one by
-one, which raises the first bad line's error.  The family is then
-checked once, as (n, code) pairs in line order (VectorFamily.from_pairs),
-so the first line that does not conform decides that error.
+readers parse all vector lines in one pass with vectors.parse_codes,
+which raises parse_vector's error for the first bad line.  The family is
+then checked once, as (n, code) pairs in line order
+(VectorFamily.from_pairs), so the first line that does not conform
+decides that error.
 
 Both writers emit members in family order, one format_codes text per
 line, so output is deterministic and diff-friendly.
@@ -28,7 +26,7 @@ import json
 from pathlib import Path
 
 from .errors import BadCharacter, EmptyInput, InvalidParams
-from .vectors import Params, VectorFamily, parse_vector
+from .vectors import Params, VectorFamily, parse_codes
 
 __all__ = [
     "load_family",
@@ -38,26 +36,6 @@ __all__ = [
     "family_to_json",
     "family_from_json",
 ]
-
-
-_PLUS_DIGITS = bytes.maketrans(b"+-0", b"100")
-_MINUS_DIGITS = bytes.maketrans(b"+-0", b"010")
-
-
-def _vector_codes(lines: list[str]) -> list[tuple[int, int]]:
-    """(n, code) of each vector line, in order, as parse_vector reads it;
-    parse_vector's error for the first line it rejects."""
-    if not lines:
-        return []
-    joined = ",".join(lines).encode("utf-8", "replace")
-    if "" in lines or joined.translate(None, b"+-0") != b"," * (len(lines) - 1):
-        for line in lines:
-            parse_vector(line)
-    # Reversed, the join holds the lines last to first, each reversed, so
-    # bit i - 1 of a line's masks is its character i.
-    rev = joined[::-1]
-    plus, minus = rev.translate(_PLUS_DIGITS).split(b","), rev.translate(_MINUS_DIGITS).split(b",")
-    return [(len(q), int(q, 2) | int(m, 2) << len(q)) for q, m in zip(reversed(plus), reversed(minus))]
 
 
 def family_to_text(fam: VectorFamily) -> str:
@@ -89,11 +67,11 @@ def family_from_text(text: str) -> VectorFamily:
             try:
                 params = _header(line, lineno, params)
             except InvalidParams:
-                _vector_codes(lines)  # a bad vector line above the header comes first
+                parse_codes(lines)  # a bad vector line above the header comes first
                 raise
             continue
         lines.append(line)
-    pairs = _vector_codes(lines)
+    pairs = parse_codes(lines)
     if params is None:
         if not pairs:
             raise EmptyInput("no header and no vectors in family text")
@@ -122,7 +100,7 @@ def family_from_json(text: str) -> VectorFamily:
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise InvalidParams("JSON field 'vectors' must be a list of strings")
     params = Params(payload["n"], payload["k"], payload["l"])
-    return VectorFamily.from_pairs(params, _vector_codes(raw))
+    return VectorFamily.from_pairs(params, parse_codes(raw))
 
 
 def load_family(path: str | Path) -> VectorFamily:

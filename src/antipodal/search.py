@@ -85,7 +85,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
 from .constructions import circle_family
@@ -98,7 +97,7 @@ from .vectors import (
     comb_exceeds,
     enumerate_v,
     find_antipodal_pair,
-    parse_vector,
+    parse_codes,
     partner_codes,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "Graph",
     "SearchResult",
     "antipodality_graph",
-    "disjointness_graph",
     "kneser_graph",
     "max_independent_set",
     "max_antipodal_free",
@@ -143,29 +141,9 @@ class Graph:
                 if not self.adj[j] >> i & 1:
                     raise InvalidParams(f"asymmetric edge {i}-{j}")
 
-    @classmethod
-    def from_neighbor_lists(cls, labels, neighbor_lists) -> "Graph":
-        labels = tuple(labels)
-        masks = []
-        for i, nbrs in enumerate(neighbor_lists):
-            m = 0
-            for j in nbrs:
-                if not isinstance(j, int) or not 0 <= j < len(labels):
-                    raise InvalidParams(f"neighbor {j!r} of vertex {i} is not a vertex index below {len(labels)}")
-                m |= 1 << j
-            masks.append(m)
-        return cls(labels, tuple(masks))
-
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
 
 
 @dataclass(frozen=True)
@@ -462,7 +440,7 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     sys.setrecursionlimit(max(old_limit, 3 * g.n + 1000))
     try:
         if p is not None and p.nontrivial_regime:
-            codes = [parse_vector(s).code for s in g.labels]
+            codes = [code for _, code in parse_codes(g.labels)]
             size, wit = _symmetric_solve(solver, codes, p, lo)
         else:
             size, wit = solver.solve(everything, lo)
@@ -572,27 +550,22 @@ def antipodality_graph(p: Params) -> Graph:
     return Graph(labels=labels, adj=tuple(adj))
 
 
-def disjointness_graph(sets: Iterable[Iterable[int]]) -> Graph:
-    """One vertex per set, labelled by its sorted elements, and one edge
-    per disjoint pair; vertices in input order."""
-    sets = [frozenset(s) for s in sets]
-    adj = [0] * len(sets)
-    for i, a in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            if not (a & sets[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    labels = tuple(",".join(map(str, sorted(s))) for s in sets)
-    return Graph(labels=labels, adj=tuple(adj))
-
-
 def kneser_graph(n: int, k: int) -> Graph:
-    """k-subsets of [n] with an edge per disjoint pair, lex vertex order."""
+    """k-subsets of [n] with an edge per disjoint pair, lex vertex order;
+    each vertex is labelled by its elements, comma-separated."""
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
     if comb_exceeds(n, k, VERTEX_CAP):
         raise TooLarge(f"C({n},{k}) exceeds the vertex cap {VERTEX_CAP}")
-    return disjointness_graph(combinations(range(1, n + 1), k))
+    sets = list(combinations(range(1, n + 1), k))
+    masks = [sum(1 << x for x in s) for s in sets]
+    adj = [0] * len(sets)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if not a & masks[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(labels=tuple(",".join(map(str, s)) for s in sets), adj=tuple(adj))
 
 
 def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResult:
@@ -604,7 +577,7 @@ def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResul
     closed-form bounds before returning.
     """
     result = _search(antipodality_graph(p), _deadline(budget), p)
-    fam = VectorFamily(p, (parse_vector(s) for s in result.witness))
+    fam = VectorFamily.from_pairs(p, parse_codes(result.witness))
     if len(fam) != result.optimum:
         raise RuntimeError("solver witness has duplicate or invalid members")
     if find_antipodal_pair(fam) is not None:

@@ -17,14 +17,16 @@ A SignedVector stores only its dimension n and one integer code,
 plus_mask | minus_mask << n, where bit i - 1 of each mask stands for
 coordinate i (SignedVector.code).  Everything works on that code:
 parsing, formatting (format_code), the scalar product and the
-antipodality test are mask operations, and the index-set views plus,
-minus and support are frozensets decoded from it on demand.  _decode is
-the one way to make a vector from a code.
+antipodality test are mask operations, and the index-set views plus and
+minus are frozensets decoded from it on demand.  _decode is the one way
+to make a vector from a code.  Vector text is read here and nowhere
+else: parse_vector reads one text, parse_codes a list of them in one
+pass, with the same translation tables and the same errors.
 
 A VectorFamily is its parameters and its member codes: `codes` is
 dict.fromkeys of them, which keeps member order, keeps the first of any
 duplicates and answers membership in O(1).  Members are decoded into
-SignedVectors only on demand (members, iteration).  Every constructor
+SignedVectors only on demand, by iteration.  Every constructor
 checks the codes once, as (n, code) pairs in member order, so the first
 nonconforming member decides the error; from_codes and from_pairs take
 codes without decoding them, and restrict_codes filters a checked family
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     BadCharacter,
@@ -65,6 +67,7 @@ __all__ = [
     "SignedVector",
     "VectorFamily",
     "parse_vector",
+    "parse_codes",
     "format_vector",
     "format_code",
     "format_codes",
@@ -150,16 +153,6 @@ class SignedVector:
     def minus(self) -> frozenset[int]:
         return frozenset(mask_indices(_masks(self)[1]))
 
-    @property
-    def support(self) -> frozenset[int]:
-        plus, minus = _masks(self)
-        return frozenset(mask_indices(plus | minus))
-
-    def entry(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise RangeError(f"index {i} outside [1..{self.n}]")
-        return (self.code >> (i - 1) & 1) - (self.code >> (self.n + i - 1) & 1)
-
     def __str__(self) -> str:
         return format_vector(self)
 
@@ -205,6 +198,27 @@ def parse_vector(text: str) -> SignedVector:
     n, rev = len(text), text.encode()[::-1]
     plus, minus = int(rev.translate(_PLUS_DIGITS), 2), int(rev.translate(_MINUS_DIGITS), 2)
     return _decode(plus | minus << n, n)
+
+
+def parse_codes(lines: Sequence[str]) -> list[tuple[int, int]]:
+    """(n, code) of each vector text, in order, as parse_vector reads it;
+    parse_vector's error for the first text it rejects.
+
+    All texts are read in one pass.  Reversed, their join holds them
+    last to first, each reversed, so bit i - 1 of a text's masks is its
+    character i: one translation per mask spells every text's binary
+    digits, and each text is two int(..., 2) calls.  A text that is
+    empty or holds another character sends the texts through
+    parse_vector one by one."""
+    if not lines:
+        return []
+    joined = ",".join(lines).encode("utf-8", "replace")
+    if "" in lines or joined.translate(None, b"+-0") != b"," * (len(lines) - 1):
+        for line in lines:
+            parse_vector(line)
+    rev = joined[::-1]
+    plus, minus = rev.translate(_PLUS_DIGITS).split(b","), rev.translate(_MINUS_DIGITS).split(b",")
+    return [(len(q), int(q, 2) | int(m, 2) << len(q)) for q, m in zip(reversed(plus), reversed(minus))]
 
 
 _OCTAL_SIGNS = str.maketrans("12", "+-")
@@ -324,10 +338,6 @@ class VectorFamily:
         """The family of the vectors with these codes, in order;
         InvalidParams for an int that is not a code at dimension n."""
         return cls.from_pairs(params, zip(repeat(params.n), codes))
-
-    @property
-    def members(self) -> tuple[SignedVector, ...]:
-        return tuple(self)
 
     def __len__(self) -> int:
         return len(self.codes)

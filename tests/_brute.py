@@ -234,15 +234,6 @@ class FrozensetVector:
             if not (isinstance(i, int) and 1 <= i <= self.n):
                 raise RangeError(f"index {i!r} outside [1..{self.n}]")
 
-    @property
-    def support(self) -> frozenset:
-        return self.plus | self.minus
-
-    def entry(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise RangeError(f"index {i} outside [1..{self.n}]")
-        return 1 if i in self.plus else -1 if i in self.minus else 0
-
     def __str__(self) -> str:
         return "".join("+" if i in self.plus else "-" if i in self.minus else "0" for i in range(1, self.n + 1))
 

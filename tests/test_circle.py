@@ -2,7 +2,7 @@
 
 import random
 from array import array
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -24,7 +24,6 @@ from antipodal import (
     example2,
     lemma3_count,
     lemma3_sweep,
-    max_intersecting_cyclic,
     theorem2_bound,
     theorem2_certify,
 )
@@ -162,7 +161,7 @@ def test_exhaustive_sweep_checks_rotation_invariance(monkeypatch):
     def skewed(p):
         h = real(p)
         outsider = next(v for v in enumerate_v(p) if v not in h)
-        return VectorFamily(p, [*h.members[1:], outsider])
+        return VectorFamily(p, list(h)[1:] + [outsider])
 
     monkeypatch.setattr(circle, "circle_family", skewed)
     p = Params(6, 2, 1)
@@ -204,20 +203,31 @@ def test_lemma3_refuses_huge_sampled(monkeypatch):
 
 # ---------------------------------------------------------------- cyclic EKR
 
+def _max_intersecting_cyclic(n, k):
+    """Largest number of pairwise intersecting cyclic k-intervals of [n], by brute force."""
+    intervals = [{(i + t) % n for t in range(k)} for i in range(n)]
+    return max(
+        r
+        for r in range(1, n + 1)
+        for chosen in combinations(intervals, r)
+        if all(a & b for a, b in combinations(chosen, 2))
+    )
+
+
 @pytest.mark.parametrize("nk,value", [((4, 2), 2), ((6, 3), 3), ((7, 3), 3)])
 def test_max_intersecting_cyclic_frozen(nk, value):
-    assert max_intersecting_cyclic(*nk) == value
-
-
-def test_max_intersecting_cyclic_regime():
-    with pytest.raises(RegimeError):
-        max_intersecting_cyclic(3, 2)
+    assert _max_intersecting_cyclic(*nk) == value
 
 
 def test_cyclic_intervals_bound_is_k():
-    # the circle-regime cap: at most k pairwise intersecting cyclic k-blocks
-    for n, k in [(4, 2), (5, 2), (6, 3), (7, 3)]:
-        assert max_intersecting_cyclic(n, k) <= k
+    # The fact behind the interval cap: of the n cyclic k-intervals of
+    # [n], n >= 2k, at most k pairwise intersect, and the k intervals
+    # through one point do.
+    for n, k in [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3)]:
+        assert _max_intersecting_cyclic(n, k) <= k
+        through_0 = [{(i + t) % n for t in range(k)} for i in range(n - k + 1, n + 1)]
+        assert all(0 in block for block in through_0)
+        assert all(a & b for a, b in combinations(through_0, 2))
 
 
 # ---------------------------------------------------------------- double count

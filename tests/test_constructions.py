@@ -23,7 +23,6 @@ from antipodal import (
     example2,
     is_antipodal,
     parse_vector,
-    random_permutation,
     scalar_product,
 )
 from _brute import antipodal_pair_counts
@@ -68,7 +67,7 @@ def test_example1_size_closed_form():
 
 def test_example1_last_nonzero_is_minus():
     for v in example1(Params(5, 2, 2)):
-        assert max(v.support) in v.minus
+        assert max(v.plus | v.minus) in v.minus
 
 
 # ---------------------------------------------------------------- example2
@@ -166,14 +165,9 @@ def test_permutation_validates_bijection():
         Permutation((1, 1, 2))
 
 
-def test_permutation_identity_and_compose():
+def test_permutation_identity():
     ident = Permutation.identity(4)
-    sigma = Permutation((2, 3, 4, 1))
     assert [ident(i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
-    assert sigma.compose(ident).image == sigma.image
-    assert ident.compose(sigma).image == sigma.image
-    with pytest.raises(DimensionMismatch):
-        sigma.compose(Permutation.identity(5))
 
 
 def test_apply_permutation_needs_matching_n():
@@ -181,10 +175,10 @@ def test_apply_permutation_needs_matching_n():
         apply_permutation(enumerate_v(Params(4, 2, 1)), Permutation.identity(5))
 
 
-def test_random_permutation_deterministic():
-    a = random_permutation(6, random.Random(7))
-    b = random_permutation(6, random.Random(7))
-    assert a.image == b.image
+def _random_permutation(n, rng):
+    image = list(range(1, n + 1))
+    rng.shuffle(image)
+    return Permutation(tuple(image))
 
 
 @given(params_st, st.integers(0, 2**32 - 1), st.data())
@@ -192,7 +186,7 @@ def test_random_permutation_deterministic():
 def test_permutation_preserves_products(p, seed, data):
     park = Params(*p)
     fam = enumerate_v(park)
-    sigma = random_permutation(park.n, random.Random(seed))
+    sigma = _random_permutation(park.n, random.Random(seed))
     v = data.draw(st.sampled_from(list(fam)))
     w = data.draw(st.sampled_from(list(fam)))
     mapped = apply_permutation(fam.restrict(lambda x: x in (v, w)), sigma)
@@ -214,6 +208,6 @@ def test_relabeled_examples_stay_antipodal_free(build):
     fam = build(p)
     rng = random.Random(0)
     for _ in range(10):
-        shuffled = apply_permutation(fam, random_permutation(p.n, rng))
+        shuffled = apply_permutation(fam, _random_permutation(p.n, rng))
         assert len(shuffled) == len(fam)
         assert not _has_antipodal_pair(shuffled)

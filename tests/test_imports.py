@@ -1,6 +1,8 @@
 """Module layout: package-internal imports are public and at top level,
-every deliberate raise names a class of the error taxonomy, and the
-package namespace republishes exactly the modules' public names."""
+every deliberate raise names a class of the error taxonomy, the package
+namespace republishes exactly the modules' public names, and each of
+those names is used by the package, a script or the benchmark, or is an
+object of the paper."""
 
 import ast
 from pathlib import Path
@@ -8,27 +10,61 @@ from pathlib import Path
 import antipodal
 
 _SRC = Path(antipodal.__file__).parent
-
+_ROOT = Path(__file__).resolve().parents[1]
 
 _MODULES = [
     "bounds", "circle", "constructions", "errors", "familyfile", "search", "setfamilies", "theorem1", "vectors",
 ]
 
+# Exported names that no code in src/antipodal, scripts/ or benchmark/
+# refers to, each kept as an object of the paper.  The benchmark's tracer
+# wraps the first four by their names as strings.
+PAPER_OBJECTS = {
+    "proposition1_holds": "Proposition 1 for one pair of families",
+    "lemma3_count": "Lemma 3 for one permutation sigma: |H(sigma) & F|",
+    "subfamily": "the slice F(A, B) of the proof of Theorem 1",
+    "family_b": "the family B_T of the proof of Theorem 1",
+    "is_intersecting": "the intersection predicate of the EKR theorem",
+}
 
-def test_package_namespace_is_the_union_of_module_exports():
-    # `from module import *` binds the module's __all__ (errors.py, which has
-    # none, every exception class); the package adds only its submodules.
+
+def _exported() -> set[str]:
+    """The union of the modules' public names: `from module import *`
+    binds the module's __all__ (errors.py, which has none, every
+    exception class)."""
     exported = set()
     for name in _MODULES:
         namespace = {}
         exec(f"from antipodal.{name} import *", namespace)
         exported |= set(namespace) - {"__builtins__"}
+    return exported
+
+
+def test_package_namespace_is_the_union_of_module_exports():
+    # The package adds only its submodules.
+    exported = _exported()
     assert {"comb_exceeds", "check_pair_cap", "AntipodalError"} <= exported
     submodules = {path.stem for path in _SRC.glob("*.py") if not path.stem.startswith("_")}
     assert submodules == set(_MODULES) | {"cli"}
     public = {name for name in vars(antipodal) if not name.startswith("_")}
     assert public - submodules == exported
     assert antipodal.__version__ == "0.1.0"
+
+
+def test_every_export_is_used_or_a_paper_object():
+    # A use is a name or an attribute in code; strings, docstrings and
+    # tests do not count.
+    used = set()
+    for folder in ("src/antipodal", "scripts", "benchmark"):
+        for path in (_ROOT / folder).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = _exported() - used
+    assert not unused - PAPER_OBJECTS.keys(), f"exported, used by nothing: {sorted(unused - PAPER_OBJECTS.keys())}"
+    assert not PAPER_OBJECTS.keys() - unused, f"listed, but used or not exported: {sorted(PAPER_OBJECTS.keys() - unused)}"
 
 
 def _internal_imports(tree: ast.Module):

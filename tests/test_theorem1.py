@@ -112,7 +112,8 @@ def test_slices_match_frozenset_oracle(triple, data):
     assert list(subfamily(fam, a, b)) == brute_subfamily(fam, a, b)
     t = cells[: p.k + p.l]
     if members:  # also the support of a member, which is never empty
-        t = rng.choice([t, sorted(rng.choice(members).support)])
+        member = rng.choice(members)
+        t = rng.choice([t, sorted(member.plus | member.minus)])
     assert list(family_b(fam, t)) == brute_family_b(fam, t)
 
 
