@@ -9,11 +9,16 @@ and the change first in odd ones, and reads the JSON object on the last
 line of each run.  For every end-to-end metric the script prints the
 two medians, the parent's interquartile range and the number of pairs
 in which the change read lower; its last line is the whole summary,
-every run's value included, as one JSON object.
+every run's value included, as one JSON object.  The summary also names
+each checkout's commit (`git rev-parse HEAD`, null outside a git
+checkout) and the machine (Python version, processor count, platform),
+so a before/after record can be written from it alone.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,20 @@ def quartiles(values: list[float]) -> list[float]:
         return [values[0], values[0]]
     q1, _median, q3 = statistics.quantiles(values, n=4)
     return [q1, q3]
+
+
+def commit(root: str) -> str | None:
+    """`git rev-parse HEAD` in root, or None where that fails."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    except OSError:  # no git on this machine
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def machine() -> dict:
+    """The Python version, processor count and platform of this machine."""
+    return {"python": platform.python_version(), "nproc": os.cpu_count(), "platform": platform.platform()}
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
@@ -74,8 +93,10 @@ def main(argv=None) -> int:
         for root in order:
             runs[root].append(run_once(root, args.workload, args.seconds, args.seed))
     summary = summarize(runs[args.parent], runs[args.change])
-    summary.update(workload=args.workload, seconds=args.seconds, seed=args.seed)
+    summary.update(workload=args.workload, seconds=args.seconds, seed=args.seed,
+                   commits={"parent": commit(args.parent), "change": commit(args.change)}, machine=machine())
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs at seed {args.seed}: parent -> change")
+    print(f"  commits {summary['commits']['parent']} -> {summary['commits']['change']}; machine {summary['machine']}")
     for name, m in summary["metrics"].items():
         q1, q3 = m["parent_iqr"]
         print(f"  {name:<12} {m['parent_median']:>10.4f} -> {m['change_median']:>10.4f} {m['unit']:<5}"

@@ -39,6 +39,10 @@ their codes share no bit, i.e. when they are an antipodal pair.  Both
 stages also walk all C(n, l) C(n - l, l) ordered disjoint l-pairs, a
 count set by n alone; over _PAIR_CAP of them they raise TooLarge before
 building anything, so a header-only file cannot make them run for long.
+A pair with an empty slice (for lemma 1, either slice) takes one step:
+its count 0 is recorded and, for the deletion, its charge 0, as 0 never
+exceeds the threshold; the cross check and the doomed set are skipped.
+The report keys keep the pair order either way.
 The deletion keeps the survivors as codes, and lemma2_check groups their
 minus masks by support mask and tests each group with all_pairs_meet.
 """
@@ -224,6 +228,8 @@ def lemma1_check(fam: VectorFamily) -> TraceReport:
         slice_ba = slices.get(b_mask | a_mask << n, ())
         report.pair_counts[(a, b)] = len(slice_ab)
         report.pair_counts[(b, a)] = len(slice_ba)
+        if not (slice_ab and slice_ba):
+            continue
         for v in slice_ab:
             for w in slice_ba:
                 if not v & w:
@@ -257,11 +263,14 @@ def deletion_procedure(fam: VectorFamily) -> tuple[VectorFamily, TraceReport]:
     slices = _slices(fam)
     doomed: set[int] = set()
     for a, b, a_mask, b_mask in pairs:
-        indexed = slices.get(a_mask | b_mask << n, ())
-        report.pair_counts[(a, b)] = len(indexed)
+        key, indexed = (a, b), slices.get(a_mask | b_mask << n)
+        if indexed is None:  # an empty slice: count 0, and 0 <= threshold charges 0
+            report.pair_counts[key] = report.deletions[key] = 0
+            continue
+        report.pair_counts[key] = len(indexed)
         if len(indexed) <= threshold:
             fresh = [c for c in indexed if c not in doomed]
-            report.deletions[(a, b)] = len(fresh)
+            report.deletions[key] = len(fresh)
             doomed.update(fresh)
     survivors = fam.restrict_codes(lambda c: c not in doomed)
     report.deleted = tuple(format_codes([c for c in fam.codes if c in doomed], n))

@@ -37,19 +37,20 @@ partner_codes: the partner's minus set takes l of the vector's plus
 bits, its plus set is the vector's minus bits plus k - l of its zero
 bits.  Both come from two lists that depend only on the plus mask (its
 l-subsets, and the (k - l)-subsets of the other n - k bits, filtered
-per member to those that miss its minus bits).  find_antipodal_pair
-builds these lists once per run of members with the same plus mask and
-looks each partner up in an index of the family's plus masks by minus
-mask, so it never builds a partner code; it decodes a vector only for
-the pair it returns.  antipodal_neighbors decodes every partner, in
-partner_codes order.
+per member to those that miss its minus bits).  antipodal_neighbors
+decodes every partner, in partner_codes order.  find_antipodal_pair
+builds no partner code until it has found a pair: it holds the family
+as member bitsets, one int per coordinate and sign whose bit j stands
+for the j-th member (_columns), and asks in a few big-int operations
+per member whether any member is a partner; it decodes a vector only
+for the pair it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
@@ -88,6 +89,11 @@ __all__ = [
 # enumerate_v refuses a V(n, k, l) larger than this: the biggest one any
 # caller enumerates is 2,520, and 200,000 members take about 50 MB.
 _ENUMERATE_CAP = 200_000
+
+# Codes packed per step of _columns, which bounds its transient bytes
+# and texts: find_antipodal_pair peaks near 0.75 MB (tracemalloc) on the
+# 15,015 members of example1(14, 4, 2).
+_COLUMN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -467,30 +473,65 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     return [_decode(c, p.n) for c in partner_codes(v.code, p)]
 
 
+def _columns(codes: Iterable[int], width: int) -> list[int]:
+    """The member bitsets of these codes: bitset i has bit j set when
+    bit i of the j-th code is set, for each i < width.
+
+    _COLUMN_CHUNK codes at a time are packed into one int, a slot of
+    8 * ceil(width / 8) bits each; its binary numeral holds the slots
+    last to first, so every step-th digit from the one for bit i is
+    bitset i of the chunk, read as one numeral.  Time and memory are
+    linear in the number of codes."""
+    step = 8 * (nbytes := (width + 7) // 8)
+    columns = [0] * width
+    it, start = iter(codes), 0
+    while chunk := list(islice(it, _COLUMN_CHUNK)):
+        packed = int.from_bytes(b"".join(map(int.to_bytes, chunk, repeat(nbytes), repeat("little"))), "little")
+        digits = f"{packed:0{len(chunk) * step}b}"
+        for i in range(width):
+            columns[i] |= int(digits[step - 1 - i :: step], 2) << start
+        start += len(chunk)
+    return columns
+
+
 def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
     """The first antipodal pair (v, w) of the family in member order, or
     None if the family is antipodal-free.
 
     w is the first partner of v, in partner_codes order, that is in the
-    family.  The partners are looked up as (minus mask, plus mask) in an
-    index of the family's plus masks by minus mask, so no partner code is
-    built; the two lists of _partner_lists are built once for each run
-    of consecutive members with the same plus mask."""
+    family.  The search runs on member bitsets (_columns): for each
+    coordinate i, the members with + at i and those with - at i.  A
+    member w is a partner of v exactly when plus(w) misses plus(v),
+    minus(w) lies in plus(v), and plus(w) holds minus(v).  The first two
+    depend only on the plus mask P of v, so for each run of members with
+    plus mask P the members meeting them are computed once, as
+    X_P = everyone minus (the plus bitsets in P OR the minus bitsets
+    outside P); v has a partner when X_P AND the plus bitsets of minus(v)
+    is not empty.  Cost: a linear build of 2n bitsets, n big-int ORs per
+    run and at most l big-int ANDs per member; partner codes are built
+    only for the v returned.  Below n = 2k no two plus sets are
+    disjoint, so there is no pair and nothing is built."""
     p = fam.params
-    n, full = p.n, (1 << p.n) - 1
-    plus_by_minus: dict[int, set[int]] = {}
-    for code in fam.codes:
-        plus_by_minus.setdefault(code >> n, set()).add(code & full)
+    if not p.nontrivial_regime:
+        return None
+    n, full, codes = p.n, (1 << p.n) - 1, fam.codes
+    columns = _columns(codes, 2 * n)
+    everyone = (1 << len(codes)) - 1
     last_plus = None
-    for code in fam.codes:
+    for code in codes:
         plus = code & full
         if plus != last_plus:
-            last_plus, (new_minus, off_plus) = plus, _partner_lists(plus, p)
-        new_plus = _partner_plus(code >> n, off_plus)
-        for m in new_minus:
-            found = plus_by_minus.get(m)
-            if found is not None and not found.isdisjoint(new_plus):
-                return _decode(code, n), _decode(m << n | next(q for q in new_plus if q in found), n)
+            blocked = 0
+            for i in range(n):
+                blocked |= columns[i] if plus >> i & 1 else columns[n + i]
+            last_plus, x_p = plus, everyone ^ blocked
+        partners, minus = x_p, code >> n
+        while partners and minus:
+            low = minus & -minus
+            partners &= columns[low.bit_length() - 1]
+            minus ^= low
+        if partners:
+            return _decode(code, n), _decode(next(c for c in partner_codes(code, p) if c in codes), n)
     return None
 
 

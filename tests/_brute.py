@@ -260,6 +260,11 @@ def brute_subfamily(fam, a, b) -> list[frozenset]:
     return [v.plus - a for v in fam if v.minus == b and a <= v.plus]
 
 
+def _frozenset_members(fam) -> list[FrozensetVector]:
+    """The members of fam in order, each decoded once into its frozensets."""
+    return [FrozensetVector(v.n, v.plus, v.minus) for v in fam]
+
+
 def brute_family_b(fam, t) -> list[frozenset]:
     """Minus sets of the members supported exactly on T, in member order."""
     return [v.minus for v in fam if v.plus | v.minus == frozenset(t)]
@@ -291,11 +296,12 @@ def brute_lemma1(fam) -> dict:
     (C, D) of F(A, B) x F(B, A) with C cap D empty is a violation naming
     the vectors (A cup C, B) and (B cup D, A)."""
     p = fam.params
+    members = _frozenset_members(fam)
     counts, violations = {}, []
     for a, b in _ordered_l_pairs(p.n, p.l):
         if _pair_str(b, a) in counts:
             continue
-        slice_ab, slice_ba = brute_subfamily(fam, a, b), brute_subfamily(fam, b, a)
+        slice_ab, slice_ba = brute_subfamily(members, a, b), brute_subfamily(members, b, a)
         counts[_pair_str(a, b)] = len(slice_ab)
         counts[_pair_str(b, a)] = len(slice_ba)
         for c in slice_ab:
@@ -319,15 +325,17 @@ def brute_deletion(fam) -> tuple[list[str], dict]:
     first such pair in lex order."""
     p = fam.params
     threshold = _comb(p.n - 2 * p.l - 1, p.k - p.l - 1)
-    counts, deletions, doomed = {}, {}, []
+    members = _frozenset_members(fam)
+    counts, deletions, doomed = {}, {}, set()
     for a, b in _ordered_l_pairs(p.n, p.l):
-        indexed = [v for v in fam if v.minus == frozenset(b) and frozenset(a) <= v.plus]
+        a_set, b_set = frozenset(a), frozenset(b)
+        indexed = [v for v in members if v.minus == b_set and a_set <= v.plus]
         counts[_pair_str(a, b)] = len(indexed)
         if len(indexed) <= threshold:
             fresh = [v for v in indexed if v not in doomed]
             deletions[_pair_str(a, b)] = len(fresh)
-            doomed += fresh
-    survivors = [str(v) for v in fam if v not in doomed]
+            doomed.update(fresh)
+    survivors = [str(v) for v in members if v not in doomed]
     lower = len(fam) - _comb(p.n, 2 * p.l) * _comb(2 * p.l, p.l) * threshold
     violations = []
     if len(survivors) < lower:
@@ -340,7 +348,7 @@ def brute_deletion(fam) -> tuple[list[str], dict]:
         fam,
         pair_counts=counts,
         deletions=deletions,
-        deleted=[str(v) for v in fam if v in doomed],
+        deleted=[str(v) for v in members if v in doomed],
         survivor_size=len(survivors),
         accounting_lower_bound=lower,
         violations=violations,

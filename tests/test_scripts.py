@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import platform
+import subprocess
 from pathlib import Path
 
 from antipodal import Params, TooLarge, cardinality_v
@@ -90,7 +92,7 @@ def _bench_result(wall, setup, failed=0):
     return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": {
         "setup_s": {"value": setup, "unit": "s"}, "wall_s": {"value": wall, "unit": "s"}}}
 
-def test_bench_pairs_summarizes_canned_runs():
+def test_bench_pairs_summarizes_canned_runs(tmp_path):
     module = _load("bench_pairs")
     parent = [_bench_result(w, 0.2) for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
     change = [_bench_result(w, s, f) for w, s, f in ((0.5, 0.1, 0), (2.5, 0.2, 1), (1.0, 0.3, 0), (3.0, 0.2, 0), (6.0, 0.1, 0))]
@@ -106,6 +108,18 @@ def test_bench_pairs_summarizes_canned_runs():
     setup = summary["metrics"]["setup_s"]
     assert setup["parent_iqr"] == [0.2, 0.2] and setup["change_lower"] == 2
     assert module.quartiles([7.0]) == [7.0, 7.0]
+    # Each checkout's commit, or None outside a git checkout, and the machine.
+    plain, repo = tmp_path / "plain", tmp_path / "repo"
+    plain.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "init"], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True).stdout.strip()
+    assert module.commit(str(repo)) == head and len(head) == 40
+    assert module.commit(str(plain)) is None
+    host = module.machine()
+    assert set(host) == {"python", "nproc", "platform"}
+    assert host["python"] == platform.python_version() and host["nproc"] >= 1
 
 def test_bench_pairs_alternates_and_ends_with_the_summary(capsys, monkeypatch):
     module = _load("bench_pairs")
@@ -116,6 +130,7 @@ def test_bench_pairs_alternates_and_ends_with_the_summary(capsys, monkeypatch):
         return _bench_result(1.0 if root == "old" else 0.5, 0.2)
 
     monkeypatch.setattr(module, "run_once", fake_run)
+    monkeypatch.setattr(module, "commit", lambda root: f"{root}-head")
     argv = ["old", "new", "--workload", "certify", "--pairs", "3", "--seconds", "2", "--seed", "4"]
     assert module.main(argv) == 0
     assert [c[0] for c in calls] == ["old", "new", "new", "old", "old", "new"]
@@ -125,3 +140,5 @@ def test_bench_pairs_alternates_and_ends_with_the_summary(capsys, monkeypatch):
     assert summary["metrics"]["wall_s"]["change_lower"] == 3
     assert (summary["workload"], summary["pairs"], summary["seed"]) == ("certify", 3, 4)
     assert lines[0] == "certify, 3 pairs of 2 s runs at seed 4: parent -> change"
+    assert summary["commits"] == {"parent": "old-head", "change": "new-head"}
+    assert summary["machine"] == module.machine()

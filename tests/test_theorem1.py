@@ -227,6 +227,31 @@ def test_deletion_pair_counts_cover_all_ordered_pairs():
     assert report.pair_counts[((1,), (4,))] == 2
 
 
+@pytest.mark.parametrize("triple", [(9, 3, 2), (10, 4, 3), (11, 2, 2)], ids=str)
+def test_pair_walks_keep_pair_order_on_sparse_families(triple):
+    # About a fifth of V: most slices are empty and take the one-step path
+    # of both walks.  Keys still come in pair order: every ordered pair
+    # for the deletion, with the triggered ones (count <= threshold) in
+    # the same order, and each unordered pair at its first ordering for
+    # lemma 1.  Values and order also match the frozenset oracles.
+    p = Params(*triple)
+    rng = random.Random(f"sparse:{triple}")
+    fam = enumerate_v(p).restrict_codes(lambda c: rng.random() < 0.2)
+    order = [(a, b) for a, b, _, _ in theorem1._ordered_pairs(p)]
+
+    survivors, report = deletion_procedure(fam)
+    assert list(report.pair_counts) == order
+    assert list(report.deletions) == [key for key in order if report.pair_counts[key] <= report.threshold]
+    assert 0 in report.pair_counts.values() and len(report.deletions) < len(order)
+    expected_survivors, expected_report = brute_deletion(fam)
+    assert list(survivors.strings()) == expected_survivors
+    assert json.dumps(report.as_dict()) == json.dumps(expected_report)
+
+    report = lemma1_check(fam)
+    assert list(report.pair_counts) == [key for a, b in order if a < b for key in ((a, b), (b, a))]
+    assert json.dumps(report.as_dict()) == json.dumps(brute_lemma1(fam))
+
+
 def test_pair_walk_over_the_cap_raises_before_building(monkeypatch):
     # C(3000,1) C(2999,1) ordered pairs: refused by count, before the
     # l-subsets or the slices are built.

@@ -44,6 +44,7 @@ from _brute import (
     brute_vector_strings,
     gram,
 )
+from antipodal import vectors
 from antipodal.vectors import comb_exceeds
 
 VALID_PARAMS = [
@@ -310,7 +311,12 @@ CERTIFY_TRIPLES = [
 
 @pytest.mark.parametrize("triple", CERTIFY_TRIPLES, ids=str)
 def test_find_antipodal_pair_at_certify_scale(triple):
+    # A partner of the last member goes first, in the middle or last.
+    # Then a shuffle breaks the runs of members with one plus mask into
+    # pieces (X_P is rebuilt at nearly every member), and 1-3 partners of
+    # random members go in at random places: the first pair stays exact.
     p = Params(*triple)
+    rng = random.Random(f"plant:{triple}")
     for construct in (example1, example2):
         members = list(construct(p))
         assert find_antipodal_pair(VectorFamily(p, members)) is None
@@ -319,6 +325,23 @@ def test_find_antipodal_pair_at_certify_scale(triple):
         for at in (0, len(members) // 2, len(members)):
             fam = VectorFamily(p, members[:at] + [w] + members[at:])
             assert find_antipodal_pair(fam) == brute_find_antipodal_pair(fam)
+        rng.shuffle(members)
+        for _ in range(rng.randint(1, 3)):
+            w = rng.choice(antipodal_neighbors(rng.choice(members), p))
+            members.insert(rng.randrange(len(members) + 1), w)
+        fam = VectorFamily(p, members)
+        pair = find_antipodal_pair(fam)
+        assert pair is not None and pair == brute_find_antipodal_pair(fam)
+
+
+def test_member_bitsets_match_the_codes():
+    # Bitset i holds bit j when bit i of the j-th code is set, also past
+    # one packing chunk and for codes wider than a byte.
+    rng = random.Random(3)
+    for width, count in ((1, 0), (3, 5), (8, 9), (13, 3 * vectors._COLUMN_CHUNK + 7)):
+        codes = [rng.getrandbits(width) for _ in range(count)]
+        expected = [int("0" + "".join(str(c >> i & 1) for c in reversed(codes)), 2) for i in range(width)]
+        assert vectors._columns(codes, width) == expected, (width, count)
 
 
 # u = +++--000 and its partner w = --0+++00.  The first member shares
@@ -333,8 +356,10 @@ def test_find_antipodal_pair_shares_lists_only_by_their_mask(first):
 
 
 @pytest.mark.parametrize("triple", [(6, 3, 3), (8, 4, 4), (5, 3, 1), (5, 3, 2), (7, 4, 3), (9, 5, 3)], ids=str)
-def test_find_antipodal_pair_on_all_of_v_with_k_equal_l_or_n_below_2k(triple):
+def test_find_antipodal_pair_on_all_of_v_with_k_equal_l_or_n_below_2k(triple, monkeypatch):
     fam = enumerate_v(Params(*triple))
+    if fam.params.n < 2 * fam.params.k:  # no two k-sets are disjoint: None before any bitset is built
+        monkeypatch.setattr(vectors, "_columns", None)
     pair = find_antipodal_pair(fam)
     assert pair == brute_find_antipodal_pair(fam)
     assert (pair is None) == (fam.params.n < 2 * fam.params.k)
@@ -344,7 +369,9 @@ def test_find_antipodal_pair_memory_does_not_grow_with_the_family():
     # 400 random members of V(30, 4, 1), each plus set holding coordinate
     # 1 (so there is no pair), nearly all with their own plus mask and
     # support.  Each has C(25, 3) = 2,300 fresh plus choices; holding
-    # them for every member would take some 35 MB.
+    # them for every member would take some 35 MB.  And the 15,015
+    # members of example1(14, 4, 2): the member bitsets take 2n ints of
+    # |F| bits, read from bytes and texts built 4,096 members at a time.
     p = Params(30, 4, 1)
     rng = random.Random(5)
     codes = set()
@@ -352,14 +379,16 @@ def test_find_antipodal_pair_memory_does_not_grow_with_the_family():
         plus = [1, *rng.sample(range(2, 31), 3)]
         minus = rng.choice([i for i in range(2, 31) if i not in plus])
         codes.add(SignedVector(30, plus, [minus]).code)
-    fam = VectorFamily.from_codes(p, codes)
-    tracemalloc.start()
-    try:
-        assert find_antipodal_pair(fam) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    big = example1(Params(14, 4, 2))
+    assert len(big) == 15_015
+    for fam in (VectorFamily.from_codes(p, codes), big):
+        tracemalloc.start()
+        try:
+            assert find_antipodal_pair(fam) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, fam
 
 
 def test_comb_exceeds_is_exact():
