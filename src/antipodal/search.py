@@ -33,8 +33,11 @@ alpha(mask) > lo; otherwise it fails low, returning an upper bound
   two of its outer vertices, an odd cycle: the root with the matched
   pairs on both tree paths is a set S with alpha(S) <= (|S| - 1) / 2,
   one less than the matching charges, and each such S, disjoint from
-  the others, lowers the bound by 1.  The roots stop once the bound
-  reaches the target;
+  the others, lowers the bound by 1.  The roots stop once the decision
+  is known: when the bound reaches the target, or when the roots left,
+  each worth at most 1, cannot bring it there.  A tree that finds
+  neither is closed, as a later tree could leave it only the way it
+  came in;
 * branching: on a maximum-degree vertex (lowest index on ties); include
   branch first against target - 1, then the exclude branch against the
   larger of the target and the include result.  The cover bound's one
@@ -84,7 +87,7 @@ import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
 from .constructions import circle_family
@@ -262,7 +265,12 @@ class _Solver:
         """(bound, v): the cover upper bound |mask| - |M| - c for a matching
         M of the induced subgraph and c disjoint odd-cycle sets, where each
         edge of M and each unmatched vertex is a clique, and the branch
-        vertex v.  The bound is returned as soon as it is at most target.
+        vertex v.  Callers read only whether the bound is at most target
+        and, when it is, its value, so the roots stop once that is known:
+        at a bound of at most target, or once the roots left cannot bring
+        it there, as each lowers it by at most 1.  A bound at most target
+        is that of the run over every root; one above target is at least
+        that.  v does not depend on target.
 
         One scan of mask builds a greedy M, each vertex paired with its
         lowest earlier unmatched neighbor, and picks v: maximum deg[i],
@@ -287,6 +295,16 @@ class _Solver:
         holds one unmatched root and whole pairs of M, so no later
         augmenting path ends at its root or changes its pairs, and S keeps
         its charge of (|S| - 1) / 2 while the rest is covered by M.
+
+        A tree that ends with neither find is a failed tree F, and later
+        trees skip it as they skip the charged sets; no result changes.
+        F changed nothing, and when it ended every neighbor of an outer
+        vertex of F was an inner vertex of F or skipped, and no two outer
+        vertices were adjacent.  The skipped vertices only grow and M
+        changes only along flipped paths, so a later tree could enter F
+        only at an inner vertex, go on to its mate, an outer vertex of F,
+        and from there only to inner vertices of F: it would find no
+        unmatched vertex, no odd cycle and no way out inside F.
         """
         adj = self.adj
         mate = self.mate
@@ -295,11 +313,7 @@ class _Solver:
         free = 0  # the unmatched vertices
         v = -1
         best_d = 0
-        mm = mask
-        while mm:
-            lsb = mm & -mm
-            i = lsb.bit_length() - 1
-            mm ^= lsb
+        for i in _bits(mask):
             d = deg[i]
             if d > best_d:
                 best_d = d
@@ -312,19 +326,19 @@ class _Solver:
                 mate[j] = i
                 free ^= low
             else:
-                free |= lsb
+                free |= 1 << i
         # |mask| - |M|, with |M| = (|mask| - |free|) / 2
         bound = (mask.bit_count() + free.bit_count()) // 2
         parent = self.parent
-        used = 0  # the odd-cycle sets already charged
-        roots = free
-        while roots and bound > target:
+        skip = 0  # the charged odd-cycle sets and the closed failed trees
+        roots = free  # the unmatched roots still to run
+        # Stop at a bound of at most target, or once the roots left, each
+        # worth at most 1, cannot bring it there.
+        while target < bound <= target + roots.bit_count():
             root_bit = roots & -roots
             roots ^= root_bit
-            if not free & root_bit:
-                continue  # matched by an earlier augmenting path
             r = root_bit.bit_length() - 1
-            avail = mask & ~(used | root_bit)  # the vertices not yet in the tree
+            avail = mask & ~(skip | root_bit)  # the vertices not yet in the tree
             outer_bits = root_bit
             outer = [r]
             for u in outer:
@@ -333,6 +347,7 @@ class _Solver:
                 if hit:
                     end = hit & -hit
                     free ^= root_bit | end
+                    roots &= free
                     bound -= 1
                     w = end.bit_length() - 1
                     while True:  # flip the path r ... u - w
@@ -346,11 +361,11 @@ class _Solver:
                     break
                 hit = adj[u] & outer_bits
                 if hit:
-                    used |= root_bit
+                    skip |= root_bit
                     for z in (u, (hit & -hit).bit_length() - 1):
                         while z != r:  # the matched pairs up to the root
                             x = mate[z]
-                            used |= 1 << z | 1 << x
+                            skip |= 1 << z | 1 << x
                             z = parent[x]
                     bound -= 1
                     break
@@ -363,6 +378,8 @@ class _Solver:
                     outer_bits |= 1 << y
                     nbrs &= avail
                     outer.append(y)
+            else:  # a failed tree: later trees skip it (docstring)
+                skip |= mask & ~avail
         return bound, v
 
 
@@ -407,13 +424,13 @@ def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
     return chosen
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
+    """The set bits of mask, ascending: range filtered in one C-level pass
+    by the binary digits of mask, reversed and translated to bytes 0 and 1."""
+    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def _is_independent(adj: tuple[int, ...], mask: int) -> bool:

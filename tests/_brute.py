@@ -9,8 +9,9 @@ of integer vector codes, a frozenset-backed reference vector, and a
 per-character vector parser.  Slow
 on purpose; keep the inputs tiny.
 
-reference_solve is the exception: it is the solver's earlier node
-procedure, kept to pin the search tree of the current one.
+reference_solve and reference_cover_bound are the exception: they are
+the solver's earlier node procedure and cover bound, kept to pin the
+search tree of the current ones.
 """
 
 from __future__ import annotations
@@ -159,6 +160,90 @@ def reference_solve(adj: tuple[int, ...], mask: int, lo: int) -> tuple[int, int,
 
     size, wit = solve(mask, lo)
     return size, wit, nodes
+
+
+def reference_cover_bound(adj: tuple[int, ...], mask: int, target: int, deg: list[int] | None = None) -> tuple[int, int]:
+    """search._Solver(adj, inf)._cover_bound(mask, target, deg) as it was
+    before it stopped once the outcome is known and closed failed trees:
+    every root runs until the bound is at most target, and a later tree
+    may enter a failed one.  The current routine must give the same
+    decision (bound <= target), the same bound wherever that holds, and
+    the same branch vertex."""
+    mate = [0] * len(adj)
+    if deg is None:
+        deg = [0] * len(adj)  # no degree beats 0, so v stays -1
+    free = 0  # the unmatched vertices
+    v = -1
+    best_d = 0
+    mm = mask
+    while mm:
+        lsb = mm & -mm
+        i = lsb.bit_length() - 1
+        mm ^= lsb
+        d = deg[i]
+        if d > best_d:
+            best_d = d
+            v = i
+        cand = adj[i] & free
+        if cand:
+            low = cand & -cand
+            j = low.bit_length() - 1
+            mate[i] = j
+            mate[j] = i
+            free ^= low
+        else:
+            free |= lsb
+    # |mask| - |M|, with |M| = (|mask| - |free|) / 2
+    bound = (mask.bit_count() + free.bit_count()) // 2
+    parent = [0] * len(adj)
+    used = 0  # the odd-cycle sets already charged
+    roots = free
+    while roots and bound > target:
+        root_bit = roots & -roots
+        roots ^= root_bit
+        if not free & root_bit:
+            continue  # matched by an earlier augmenting path
+        r = root_bit.bit_length() - 1
+        avail = mask & ~(used | root_bit)  # the vertices not yet in the tree
+        outer_bits = root_bit
+        outer = [r]
+        for u in outer:
+            nbrs = adj[u] & avail
+            hit = nbrs & free
+            if hit:
+                end = hit & -hit
+                free ^= root_bit | end
+                bound -= 1
+                w = end.bit_length() - 1
+                while True:  # flip the path r ... u - w
+                    nxt = mate[u]
+                    mate[w] = u
+                    mate[u] = w
+                    if u == r:
+                        break
+                    w = nxt
+                    u = parent[w]
+                break
+            hit = adj[u] & outer_bits
+            if hit:
+                used |= root_bit
+                for z in (u, (hit & -hit).bit_length() - 1):
+                    while z != r:  # the matched pairs up to the root
+                        x = mate[z]
+                        used |= 1 << z | 1 << x
+                        z = parent[x]
+                bound -= 1
+                break
+            while nbrs:  # matched neighbors: inner, their mates outer
+                xb = nbrs & -nbrs
+                x = xb.bit_length() - 1
+                y = mate[x]
+                parent[x] = u
+                avail ^= xb | 1 << y
+                outer_bits |= 1 << y
+                nbrs &= avail
+                outer.append(y)
+    return bound, v
 
 
 def reference_max_independent(adj: tuple[int, ...]) -> tuple[int, int, int]:

@@ -35,7 +35,13 @@ from antipodal import (
     theorem2_bound,
 )
 from antipodal import bounds, search
-from _brute import antipodal_pair_counts, brute_max_independent, reference_max_independent, reference_solve
+from _brute import (
+    antipodal_pair_counts,
+    brute_max_independent,
+    reference_cover_bound,
+    reference_max_independent,
+    reference_solve,
+)
 
 
 def _graph(labels, neighbor_lists):
@@ -298,6 +304,14 @@ def test_greedy_matches_quadratic_reference_on_random_graphs(seed):
         assert greedy & ~mask == 0 and search._is_independent(g.adj, greedy)
 
 
+def test_bits_lists_the_set_bits_ascending():
+    rng = random.Random(0)
+    masks = [0, 1, 2, 3, 1 << 4999, (1 << 5000) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 5001)) & rng.getrandbits(5000) for _ in range(50)]
+    for mask in masks:
+        assert search._bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 # ---------------------------------------------------------------- cover bound
 
 def _greedy_cover_bound(adj, mask):
@@ -396,25 +410,34 @@ _ODD_CYCLE_GRAPHS = {
 }
 
 
+def _full_cover_bound(solver, mask):
+    """The bound of the run over every root.  A run stops early only above
+    its target, so this is the value at the first target t that the
+    bound does not exceed."""
+    t = -1
+    while (bound := solver._cover_bound(mask, t)[0]) > t:
+        t += 1
+    return bound
+
+
 def _assert_cover_bound_sound(g):
     # The full run lies between alpha and the greedy bound it starts from.
     # On these seeded graphs it is also at most the bound without odd
     # cycles, but that is no longer true by design: a charged set can block
     # a later root's augmenting path (10 of 60,000 random induced subgraphs
-    # read 1 above that reference, 12,036 below it).  Every target: at
-    # most the greedy bound, and the bound of the full run unless it
-    # stopped early at or below the target.
+    # read 1 above that reference, 12,036 below it).  Every target: the
+    # decision of the full run, and a bound between the full run's and
+    # the greedy one.
     mask = (1 << g.n) - 1
     alpha = brute_max_independent(_neighbor_lists(g))
     greedy = _greedy_cover_bound(g.adj, mask)
     solver = search._Solver(g.adj, float("inf"))
-    full = solver._cover_bound(mask, -1)[0]
+    full = _full_cover_bound(solver, mask)
     assert alpha <= full <= _matching_cover_bound(g.adj, mask) <= greedy
     for target in range(-1, g.n + 1):
         bound = solver._cover_bound(mask, target)[0]
+        assert (bound <= target) == (full <= target)
         assert full <= bound <= greedy
-        if bound > target:
-            assert bound == full
     return full
 
 
@@ -446,7 +469,7 @@ def test_cover_bound_sound_on_random_graphs(seed):
         keep = sorted(rng.sample(range(g.n), rng.randrange(g.n + 1)))
         sub = sum(1 << i for i in keep)
         alpha = brute_max_independent(_neighbor_lists(_induced(g, keep)))
-        bound = solver._cover_bound(sub, -1)[0]
+        bound = _full_cover_bound(solver, sub)
         assert alpha <= bound <= _matching_cover_bound(g.adj, sub) <= _greedy_cover_bound(g.adj, sub)
 
 
@@ -466,7 +489,49 @@ def test_cover_bound_exact_on_bipartite_graphs(seed):
     rng.shuffle(order)
     g = _induced(_graph(tuple(map(str, order)), lists), order)
     alpha = brute_max_independent(_neighbor_lists(g))
-    assert search._Solver(g.adj, float("inf"))._cover_bound((1 << g.n) - 1, -1)[0] == alpha
+    assert _full_cover_bound(search._Solver(g.adj, float("inf")), (1 << g.n) - 1) == alpha
+
+
+def _assert_cover_bound_matches_reference(adj, mask):
+    # Stopping once the decision is known and closing failed trees must
+    # keep the decision, the bound wherever it is at most the target and
+    # the branch vertex of the earlier routine, at every target, with and
+    # without degrees.
+    solver = search._Solver(adj, float("inf"))
+    deg = [(a & mask).bit_count() for a in adj]
+    for target in range(-1, mask.bit_count() + 1):
+        for d in (deg, None):
+            bound, v = solver._cover_bound(mask, target, d)
+            ref, ref_v = reference_cover_bound(adj, mask, target, d)
+            assert (bound <= target) == (ref <= target), (target, bound, ref)
+            if ref <= target:
+                assert bound == ref
+            assert v == ref_v
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cover_bound_matches_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 41)
+    p_edge = rng.choice((rng.uniform(2, 5) / max(n - 1, 1), rng.uniform(0.1, 0.4)))
+    g = _triangle_free_graph(rng, n, p_edge) if seed % 2 else _random_graph(rng, n, p_edge)
+    for _ in range(3):
+        _assert_cover_bound_matches_reference(g.adj, rng.getrandbits(n) | rng.getrandbits(n))
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_CYCLE_GRAPHS))
+def test_cover_bound_matches_reference_on_odd_cycles(name):
+    g = _ODD_CYCLE_GRAPHS[name]
+    _assert_cover_bound_matches_reference(g.adj, (1 << g.n) - 1)
+
+
+@pytest.mark.parametrize("triple", [(6, 2, 1), (7, 2, 1), (7, 3, 1), (8, 2, 1)])
+def test_cover_bound_matches_reference_on_antipodality_subgraphs(triple):
+    rng = random.Random(sum(triple))
+    g = antipodality_graph(Params(*triple))
+    for _ in range(3):
+        keep = rng.sample(range(g.n), rng.randrange(g.n // 4, g.n // 2))
+        _assert_cover_bound_matches_reference(g.adj, sum(1 << i for i in keep))
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(_ODD_CYCLE_GRAPHS) if "+" in name])
