@@ -49,10 +49,6 @@ class Permutation:
         if sorted(self.image) != list(range(1, len(self.image) + 1)):
             raise InvalidParams(f"not a bijection on [1..{len(self.image)}]: {self.image}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.image)

@@ -4,11 +4,14 @@ Graphs are bit-indexed: the vertex set of a residual subproblem is one
 Python int, and each vertex's neighborhood is a precomputed mask, so set
 algebra is word-parallel.  antipodality_graph builds the graph of each
 V(n, k, l) once per process and hands every later caller the same
-immutable Graph.  The solver is a branch and bound that threads
-a target through the recursion (the incumbent pruning of Tomita-Seki
-style maximum-clique solvers).  solve(mask, lo) is exact whenever
-alpha(mask) > lo; otherwise it fails low, returning an upper bound
-<= lo, which proves alpha(mask) <= lo.  Inside the recursion:
+immutable Graph.  It and kneser_graph take their adjacency rows from
+vectors.partner_bitsets: the k-subsets of [n] are minus-free codes,
+whose antipodal partners are the disjoint sets.  The solver is a branch
+and bound that threads a target through the recursion (the incumbent
+pruning of Tomita-Seki style maximum-clique solvers).  solve(mask, lo)
+is exact whenever alpha(mask) > lo; otherwise it fails low, returning
+an upper bound <= lo, which proves alpha(mask) <= lo.  Inside the
+recursion:
 
 * reductions: isolated vertices are always taken; a degree-1 vertex is
   taken over its neighbor (dominance: swapping the neighbor out for the
@@ -101,7 +104,7 @@ from .vectors import (
     enumerate_v,
     find_antipodal_pair,
     parse_codes,
-    partner_codes,
+    partner_bitsets,
 )
 
 __all__ = [
@@ -543,45 +546,35 @@ def max_independent_set(g: Graph, budget: float = DEFAULT_BUDGET) -> SearchResul
 def antipodality_graph(p: Params) -> Graph:
     """V(n, k, l) with an edge per antipodal pair; vertices in canonical order.
 
-    Raises TooLarge when |V| exceeds VERTEX_CAP.  Every vertex must end
-    with exactly antipodal_degree(p) neighbours; a mismatch raises
-    RuntimeError.  The graph is built once per p and process and then
-    shared: Graph is immutable.
+    Each vertex's adjacency is its row of partner_bitsets over the
+    enumerated codes.  Raises TooLarge when |V| exceeds VERTEX_CAP.
+    Every vertex must end with exactly antipodal_degree(p) neighbours; a
+    mismatch raises RuntimeError.  The graph is built once per p and
+    process and then shared: Graph is immutable.
     """
     if cardinality_exceeds(p, VERTEX_CAP):
         raise TooLarge(f"|V({p.n},{p.k},{p.l})| exceeds the vertex cap {VERTEX_CAP}")
     fam = enumerate_v(p)
     labels = fam.strings()
-    codes = list(fam.codes)
-    index = {c: i for i, c in enumerate(codes)}
-    adj = []
-    for code in codes:
-        mask = 0
-        for c in partner_codes(code, p):
-            mask |= 1 << index[c]
-        adj.append(mask)
+    adj = tuple(partner_bitsets(fam.codes, p.n))
     degree = antipodal_degree(p)
     for label, mask in zip(labels, adj):
         if mask.bit_count() != degree:
             raise RuntimeError(f"vertex {label} has {mask.bit_count()} antipodal neighbours, expected {degree}")
-    return Graph(labels=labels, adj=tuple(adj))
+    return Graph(labels=labels, adj=adj)
 
 
 def kneser_graph(n: int, k: int) -> Graph:
     """k-subsets of [n] with an edge per disjoint pair, lex vertex order;
-    each vertex is labelled by its elements, comma-separated."""
+    each vertex is labelled by its elements, comma-separated.  A k-set is
+    a minus-free code, whose antipodal partners are the disjoint sets, so
+    the adjacency rows are partner_bitsets of the sets' masks."""
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
     if comb_exceeds(n, k, VERTEX_CAP):
         raise TooLarge(f"C({n},{k}) exceeds the vertex cap {VERTEX_CAP}")
     sets = list(combinations(range(1, n + 1), k))
-    masks = [sum(1 << x for x in s) for s in sets]
-    adj = [0] * len(sets)
-    for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if not a & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = partner_bitsets([sum(1 << (x - 1) for x in s) for s in sets], n)
     return Graph(labels=tuple(",".join(map(str, s)) for s in sets), adj=tuple(adj))
 
 

@@ -16,7 +16,7 @@ the central objects of this toolkit.
 A SignedVector stores only its dimension n and one integer code,
 plus_mask | minus_mask << n, where bit i - 1 of each mask stands for
 coordinate i (SignedVector.code).  Everything works on that code:
-parsing, formatting (format_code), the scalar product and the
+parsing, formatting (format_codes), the scalar product and the
 antipodality test are mask operations, and the index-set views plus and
 minus are frozensets decoded from it on demand.  _decode is the one way
 to make a vector from a code.  Vector text is read here and nowhere
@@ -33,25 +33,24 @@ codes without decoding them, and restrict_codes filters a checked family
 without checking it again.
 
 The antipodal partners of a code are generated as codes by
-partner_codes: the partner's minus set takes l of the vector's plus
-bits, its plus set is the vector's minus bits plus k - l of its zero
-bits.  Both come from two lists that depend only on the plus mask (its
-l-subsets, and the (k - l)-subsets of the other n - k bits, filtered
-per member to those that miss its minus bits).  antipodal_neighbors
-decodes every partner, in partner_codes order.  find_antipodal_pair
-builds no partner code until it has found a pair: it holds the family
-as member bitsets, one int per coordinate and sign whose bit j stands
-for the j-th member (_columns), and asks in a few big-int operations
-per member whether any member is a partner; it decodes a vector only
-for the pair it returns.
+partner_codes: the partner's minus set is an l-subset of the vector's
+plus bits, its plus set the vector's minus bits with a (k - l)-subset
+of its zero bits.  antipodal_neighbors decodes every partner, in
+partner_codes order.  Partners within a family are read from its member
+bitsets, one int per coordinate and sign whose bit j stands for the
+j-th member (_columns): partner_bitsets yields, for each member, the
+bitset of its partners in a few big-int operations.  find_antipodal_pair
+takes the first member whose bitset is not empty and builds partner
+codes only for it; the antipodality graph and the Kneser graph in
+search take the bitsets as their adjacency rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
-from typing import Iterable, Iterator, NoReturn, Sequence
+from itertools import combinations, compress, islice, repeat
+from typing import Collection, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     BadCharacter,
@@ -70,7 +69,6 @@ __all__ = [
     "parse_vector",
     "parse_codes",
     "format_vector",
-    "format_code",
     "format_codes",
     "mask_indices",
     "subset_masks",
@@ -84,6 +82,7 @@ __all__ = [
     "antipodal_degree",
     "find_antipodal_pair",
     "partner_codes",
+    "partner_bitsets",
 ]
 
 # enumerate_v refuses a V(n, k, l) larger than this: the biggest one any
@@ -232,12 +231,7 @@ _OCTAL_SIGNS = str.maketrans("12", "+-")
 
 def format_vector(v: SignedVector) -> str:
     """Inverse of parse_vector."""
-    return format_code(v.code, v.n)
-
-
-def format_code(code: int, n: int) -> str:
-    """The text of the vector with this code at dimension n."""
-    return format_codes((code,), n)[0]
+    return format_codes((v.code,), v.n)[0]
 
 
 def format_codes(codes: Iterable[int], n: int) -> list[str]:
@@ -434,29 +428,16 @@ def subset_masks(mask: int, r: int) -> list[int]:
     return [sum(c) for c in combinations(bits, r)]
 
 
-def _partner_lists(plus: int, p: Params) -> tuple[list[int], list[int]]:
-    """What the partners of any member with this plus mask are made of:
-    their minus masks (the l-subsets of plus) and the (k - l)-subsets of
-    the other n - k coordinates, each in lexicographic order."""
-    return subset_masks(plus, p.l), subset_masks(((1 << p.n) - 1) ^ plus, p.k - p.l)
-
-
-def _partner_plus(minus: int, off_plus: list[int]) -> list[int]:
-    """The partners' plus masks for a member with this minus mask: its
-    minus bits with each (k - l)-subset of its zeros, in order."""
-    return [minus | z for z in off_plus if not z & minus]
-
-
 def partner_codes(code: int, p: Params) -> Iterator[int]:
     """Codes of the antipodal partners of the member v of V(n, k, l) with
     this code (unchecked), in the order of antipodal_neighbors: the
     partner's minus set runs lexicographically over the l-subsets of
     plus(v), and for each its fresh plus positions over the
     (k - l)-subsets of the zeros of v."""
-    n = p.n
-    new_minus, off_plus = _partner_lists(code & ((1 << n) - 1), p)
-    new_plus = _partner_plus(code >> n, off_plus)
-    return (m << n | q for m in new_minus for q in new_plus)
+    n, full = p.n, (1 << p.n) - 1
+    plus, minus = code & full, code >> n
+    new_plus = [minus | z for z in subset_masks(full ^ plus ^ minus, p.k - p.l)]
+    return (m << n | q for m in subset_masks(plus, p.l) for q in new_plus)
 
 
 def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
@@ -494,27 +475,23 @@ def _columns(codes: Iterable[int], width: int) -> list[int]:
     return columns
 
 
-def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
-    """The first antipodal pair (v, w) of the family in member order, or
-    None if the family is antipodal-free.
+def partner_bitsets(codes: Collection[int], n: int) -> Iterator[int]:
+    """For each code (plus | minus << n) in order, the bitset of the codes
+    that are its antipodal partners: bit j stands for the j-th code.
 
-    w is the first partner of v, in partner_codes order, that is in the
-    family.  The search runs on member bitsets (_columns): for each
-    coordinate i, the members with + at i and those with - at i.  A
-    member w is a partner of v exactly when plus(w) misses plus(v),
-    minus(w) lies in plus(v), and plus(w) holds minus(v).  The first two
-    depend only on the plus mask P of v, so for each run of members with
-    plus mask P the members meeting them are computed once, as
-    X_P = everyone minus (the plus bitsets in P OR the minus bitsets
-    outside P); v has a partner when X_P AND the plus bitsets of minus(v)
-    is not empty.  Cost: a linear build of 2n bitsets, n big-int ORs per
-    run and at most l big-int ANDs per member; partner codes are built
-    only for the v returned.  Below n = 2k no two plus sets are
-    disjoint, so there is no pair and nothing is built."""
-    p = fam.params
-    if not p.nontrivial_regime:
-        return None
-    n, full, codes = p.n, (1 << p.n) - 1, fam.codes
+    codes must be sized and re-iterable, such as a list or a family's
+    codes.  A code w is a partner of v exactly when plus(w) misses
+    plus(v), minus(w) lies in plus(v), and plus(w) holds minus(v).  On
+    the member bitsets (_columns) the first two depend only on the plus
+    mask P of v, so for each run of codes with plus mask P the codes
+    meeting them are computed once, as X_P = everyone minus (the plus
+    bitsets in P OR the minus bitsets outside P); the partners of v are
+    X_P AND the plus bitsets of minus(v).  Cost: a linear build of 2n
+    bitsets, n big-int ORs per run and at most l big-int ANDs per code
+    (fewer once the row is empty).  The formula has no special cases:
+    on minus-free codes a partner is a disjoint set, and when no two
+    plus sets can be disjoint (n < 2k) every row is 0."""
+    full = (1 << n) - 1
     columns = _columns(codes, 2 * n)
     everyone = (1 << len(codes)) - 1
     last_plus = None
@@ -530,9 +507,26 @@ def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] 
             low = minus & -minus
             partners &= columns[low.bit_length() - 1]
             minus ^= low
-        if partners:
-            return _decode(code, n), _decode(next(c for c in partner_codes(code, p) if c in codes), n)
-    return None
+        yield partners
+
+
+def find_antipodal_pair(fam: VectorFamily) -> tuple[SignedVector, SignedVector] | None:
+    """The first antipodal pair (v, w) of the family in member order, or
+    None if the family is antipodal-free.
+
+    v is the first member with a partner in the family, read off
+    partner_bitsets; w is its first partner, in partner_codes order,
+    that is in the family, so partner codes are built only for the v
+    returned.  Below n = 2k no two plus sets are disjoint, so there is
+    no pair and nothing is built."""
+    p = fam.params
+    if not p.nontrivial_regime:
+        return None
+    codes = fam.codes
+    v = next(compress(codes, partner_bitsets(codes, p.n)), None)
+    if v is None:
+        return None
+    return _decode(v, p.n), _decode(next(c for c in partner_codes(v, p) if c in codes), p.n)
 
 
 def antipodal_degree(p: Params) -> int:

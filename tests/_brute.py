@@ -11,7 +11,8 @@ on purpose; keep the inputs tiny.
 
 reference_solve and reference_cover_bound are the exception: they are
 the solver's earlier node procedure and cover bound, kept to pin the
-search tree of the current ones.
+search tree of the current ones.  So is reference_antipodality_adj, the
+antipodality graph's earlier build from partners looked up by code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from antipodal import BadCharacter, OverlapError, RangeError, SignedVector, search
+from antipodal import BadCharacter, OverlapError, RangeError, SignedVector, antipodal_neighbors, enumerate_v, search
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -84,6 +85,15 @@ def brute_find_antipodal_pair(fam):
             if w in fam:
                 return v, w
     return None
+
+
+def reference_antipodality_adj(p) -> tuple[int, ...]:
+    """The adjacency masks of the antipodality graph of V(n, k, l), built
+    as the library once built them: each vertex's antipodal_neighbors,
+    looked up in an index of the enumerated codes."""
+    members = list(enumerate_v(p))
+    index = {v.code: i for i, v in enumerate(members)}
+    return tuple(sum(1 << index[w.code] for w in antipodal_neighbors(v, p)) for v in members)
 
 
 def brute_max_independent(adj_lists: list[list[int]]) -> int:

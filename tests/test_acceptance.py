@@ -228,7 +228,7 @@ def test_criterion_08_interval_cap(capsys):
         worst[(n, k, l)] = sweep.max_observed
         assert sweep.sigmas_checked == factorial(n)
     capped = all(worst[(n, k, l)] <= k for n, k, l in params)
-    control = lemma3_count(enumerate_v(Params(4, 2, 1)), Permutation.identity(4))
+    control = lemma3_count(enumerate_v(Params(4, 2, 1)), Permutation(tuple(range(1, 5))))
     elapsed = perf_counter() - t0
     ok = capped and control == 4 > 2 and len(params) >= 9 and elapsed < 300.0
     _report(

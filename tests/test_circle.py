@@ -52,19 +52,19 @@ CIRCLE_PARAMS = [
 
 def test_lemma3_count_frozen():
     p = Params(4, 2, 1)
-    assert lemma3_count(example2(p), Permutation.identity(4)) == 2
+    assert lemma3_count(example2(p), Permutation(tuple(range(1, 5)))) == 2
 
 
 def test_lemma3_negative_control():
     # the full V is not antipodal-free, and the identity image already
     # meets it in all n = 4 members, above the cap k = 2
     p = Params(4, 2, 1)
-    assert lemma3_count(enumerate_v(p), Permutation.identity(4)) == 4
+    assert lemma3_count(enumerate_v(p), Permutation(tuple(range(1, 5)))) == 4
 
 
 def test_lemma3_count_needs_matching_n():
     with pytest.raises(DimensionMismatch):
-        lemma3_count(example2(Params(4, 2, 1)), Permutation.identity(5))
+        lemma3_count(example2(Params(4, 2, 1)), Permutation(tuple(range(1, 6))))
 
 
 def test_lemma3_exhaustive_cap_on_examples():

@@ -166,13 +166,13 @@ def test_permutation_validates_bijection():
 
 
 def test_permutation_identity():
-    ident = Permutation.identity(4)
+    ident = Permutation(tuple(range(1, 5)))
     assert [ident(i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
 
 
 def test_apply_permutation_needs_matching_n():
     with pytest.raises(DimensionMismatch):
-        apply_permutation(enumerate_v(Params(4, 2, 1)), Permutation.identity(5))
+        apply_permutation(enumerate_v(Params(4, 2, 1)), Permutation(tuple(range(1, 6))))
 
 
 def _random_permutation(n, rng):

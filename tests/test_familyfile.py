@@ -24,7 +24,7 @@ from antipodal import (
     load_family,
     save_family,
 )
-from antipodal.vectors import format_code, format_codes, parse_codes
+from antipodal.vectors import format_codes, parse_codes
 from _brute import brute_parse_vector
 
 VALID_PARAMS = [
@@ -132,19 +132,19 @@ def test_round_trip_random_subfamily(p, data):
 
 def test_vector_lines_parse_and_format_like_the_per_character_reader():
     # Every +-0 string of length 1..8, in one call, so each line's length
-    # and place in the joined text vary; format_code spells each back.
+    # and place in the joined text vary; format_codes spells each back.
     strings = ["".join(t) for n in range(1, 9) for t in itertools.product("+-0", repeat=n)]
     pairs = parse_codes(strings)
     assert len(pairs) == len(strings) == 9840
     for s, (n, code) in zip(strings, pairs):
         ref = brute_parse_vector(s)
         assert (n, code) == (ref.n, ref.code)
-        assert format_code(code, n) == s
+        assert format_codes([code], n) == [s]
     for n in range(1, 9):
         assert format_codes([c for m, c in pairs if m == n], n) == [s for s in strings if len(s) == n]
         assert format_codes([], n) == []
     assert parse_codes([]) == []
-    assert format_code(0, 0) == ""
+    assert format_codes([0], 0) == [""]
     assert format_codes([0, 0], 0) == ["", ""]
 
 

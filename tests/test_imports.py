@@ -2,9 +2,11 @@
 every deliberate raise names a class of the error taxonomy, the package
 namespace republishes exactly the modules' public names, and each of
 those names is used by the package, a script or the benchmark, or is an
-object of the paper."""
+object of the paper; each public method and property of an exported
+class is used."""
 
 import ast
+import types
 from pathlib import Path
 
 import antipodal
@@ -28,21 +30,35 @@ PAPER_OBJECTS = {
 }
 
 
-def _exported() -> set[str]:
-    """The union of the modules' public names: `from module import *`
-    binds the module's __all__ (errors.py, which has none, every
-    exception class)."""
-    exported = set()
+def _exported() -> dict[str, object]:
+    """The union of the modules' public names, each with the object it
+    binds: `from module import *` binds the module's __all__ (errors.py,
+    which has none, every exception class)."""
+    exported = {}
     for name in _MODULES:
         namespace = {}
         exec(f"from antipodal.{name} import *", namespace)
-        exported |= set(namespace) - {"__builtins__"}
+        namespace.pop("__builtins__")
+        exported |= namespace
     return exported
+
+
+def _public_members() -> set[str]:
+    """The public methods and properties that the package's exported
+    classes define themselves (dataclass fields are data, not members)."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    return {
+        f"{cls.__name__}.{name}"
+        for cls in _exported().values()
+        if isinstance(cls, type) and cls.__module__.startswith("antipodal.")
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and isinstance(value, kinds)
+    }
 
 
 def test_package_namespace_is_the_union_of_module_exports():
     # The package adds only its submodules.
-    exported = _exported()
+    exported = _exported().keys()
     assert {"comb_exceeds", "check_pair_cap", "AntipodalError"} <= exported
     submodules = {path.stem for path in _SRC.glob("*.py") if not path.stem.startswith("_")}
     assert submodules == set(_MODULES) | {"cli"}
@@ -53,7 +69,8 @@ def test_package_namespace_is_the_union_of_module_exports():
 
 def test_every_export_is_used_or_a_paper_object():
     # A use is a name or an attribute in code; strings, docstrings and
-    # tests do not count.
+    # tests do not count.  A method or property of an exported class
+    # counts as used when an attribute anywhere has its name.
     used = set()
     for folder in ("src/antipodal", "scripts", "benchmark"):
         for path in (_ROOT / folder).glob("*.py"):
@@ -62,9 +79,13 @@ def test_every_export_is_used_or_a_paper_object():
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    unused = _exported() - used
+    unused = _exported().keys() - used
     assert not unused - PAPER_OBJECTS.keys(), f"exported, used by nothing: {sorted(unused - PAPER_OBJECTS.keys())}"
     assert not PAPER_OBJECTS.keys() - unused, f"listed, but used or not exported: {sorted(PAPER_OBJECTS.keys() - unused)}"
+    members = _public_members()
+    assert {"VectorFamily.from_codes", "SignedVector.plus", "Graph.n"} <= members
+    unused_members = {m for m in members if m.split(".")[1] not in used}
+    assert not unused_members, f"public members used by nothing: {sorted(unused_members)}"
 
 
 def _internal_imports(tree: ast.Module):

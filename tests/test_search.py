@@ -136,9 +136,20 @@ def test_kneser_graph_petersen():
     g = kneser_graph(5, 2)
     assert g.n == 10
     assert g.labels[:5] == ("1,2", "1,3", "1,4", "1,5", "2,3") and g.labels[-1] == "4,5"
-    sets = [set(map(int, label.split(","))) for label in g.labels]
-    assert all(bool(g.adj[i] >> j & 1) == sets[i].isdisjoint(sets[j]) for i in range(10) for j in range(10) if i != j)
     assert [m.bit_count() for m in g.adj] == [3] * 10  # 15 edges
+
+
+# n < 2k and k = n have no edges; (1, 1) and (k, k) a single vertex.
+@pytest.mark.parametrize(
+    "nk", [(5, 2), (1, 1), (2, 1), (3, 2), (4, 4), (5, 3), (6, 1), (6, 3), (7, 2), (8, 4), (9, 3), (10, 5)], ids=str
+)
+def test_kneser_graph_matches_pairwise_disjointness(nk):
+    n, k = nk
+    g = kneser_graph(n, k)
+    sets = [set(map(int, label.split(","))) for label in g.labels]
+    assert sets == [set(c) for c in itertools.combinations(range(1, n + 1), k)]
+    adj = tuple(sum(1 << j for j, b in enumerate(sets) if i != j and a.isdisjoint(b)) for i, a in enumerate(sets))
+    assert g.adj == adj
 
 
 # ---------------------------------------------------------------- solver

@@ -33,6 +33,7 @@ from antipodal import (
     format_vector,
     is_antipodal,
     parse_vector,
+    partner_bitsets,
     scalar_product,
 )
 from _brute import (
@@ -43,8 +44,9 @@ from _brute import (
     brute_parse_vector,
     brute_vector_strings,
     gram,
+    reference_antipodality_adj,
 )
-from antipodal import vectors
+from antipodal import search, vectors
 from antipodal.vectors import comb_exceeds
 
 VALID_PARAMS = [
@@ -421,6 +423,37 @@ def test_antipodality_graph_matches_pairwise_scan():
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         assert g.adj == tuple(adj), (n, k, l)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_antipodality_graph_matches_the_partner_index_reference(n):
+    # Every V(n, k, l) under the vertex cap, past the pairwise scan's n <= 8.
+    for k in range(1, n):
+        for l in range(1, min(k, n - k) + 1):
+            p = Params(n, k, l)
+            if not cardinality_exceeds(p, search.VERTEX_CAP):
+                assert antipodality_graph(p).adj == reference_antipodality_adj(p), p
+
+
+def test_partner_bitsets_match_is_antipodal_and_disjointness():
+    # Shuffled subfamilies, n < 2k and k = l included: row i holds bit j
+    # exactly when member j is antipodal to member i.
+    rng = random.Random(30)
+    for triple in [(4, 2, 1), (5, 3, 1), (6, 3, 3), (7, 2, 2), (8, 3, 2), (9, 4, 1), (10, 3, 1)]:
+        p = Params(*triple)
+        members = list(enumerate_v(p))
+        for size in (0, 1, 2, rng.randint(3, min(len(members), 80)), min(len(members), 80)):
+            sub = rng.sample(members, size)
+            rows = list(partner_bitsets([v.code for v in sub], p.n))
+            assert rows == [sum(1 << j for j, w in enumerate(sub) if is_antipodal(v, w, p)) for v in sub], (p, size)
+    # Minus-free codes of any size, repeats and the empty set included:
+    # the partners are the disjoint sets.
+    for n in range(0, 13):
+        for count in (0, 1, 5, 40):
+            masks = [rng.getrandbits(n) for _ in range(count)]
+            assert list(partner_bitsets(masks, n)) == [
+                sum(1 << j for j, b in enumerate(masks) if not a & b) for a in masks
+            ], (n, count)
 
 
 # ---------------------------------------------------------------- enumeration
