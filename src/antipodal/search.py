@@ -52,17 +52,23 @@ greedy keeps one vertex mask per degree and recounts only the neighbors
 of removed vertices, so it makes at most one degree recount per edge
 instead of recounting every remaining vertex after each pick.
 
-max_antipodal_free adds a symmetric root for full V(n, k, l) with
-n >= 2k.  S_n permutes coordinates, acts transitively on V(n, k, l) and
-maps antipodal pairs to antipodal pairs, so it acts on the graph by
-automorphisms that move any vertex to any other.  Two facts follow:
+max_antipodal_free and max_intersecting add a symmetric root, for full
+V(n, k, l) with n >= 2k and for the Kneser graph of every (n, k).  S_n
+permutes coordinates and acts on a vertex through its code: on V(n, k, l)
+directly, and on the k-sets as on minus-free codes, whose antipodal
+partners are the disjoint sets.  It acts transitively on the vertices
+and maps edges to edges, so it acts on the graph by automorphisms that
+move any vertex to any other.  Two facts follow:
 
 * ratio bound: for any vertex set H and any independent set S, summing
   |S & sigma(H)| <= alpha(H) over all sigma in S_n counts each vertex of
   S equally often, |H| n! / |V| times, so alpha <= |V| alpha(H) / |H|.
-  The root computes alpha(H) itself for one H, the n-member circle
-  family (Katona's circle method, behind the paper's theorem 2), solved
-  exactly on its n vertices;
+  The root computes alpha(H) itself for one H, the circle family of
+  Katona's circle method, solved exactly on its at most n vertices: the
+  n-member family of the paper's theorem 2 on V(n, k, l), the n cyclic
+  k-intervals of [n] on the k-sets.  On the k-sets with n >= 2k this is
+  Katona's proof of Erdos-Ko-Rado, and with n < 2k, where no two k-sets
+  are disjoint, it equals |V|;
 * vertex fixing: an automorphism maps any optimal set to one holding
   vertex 0, so alpha = 1 + alpha(G - N[0]).  The root solves G - N[0]
   against target lo - 1: failing low proves the greedy set optimal.
@@ -75,7 +81,8 @@ automorphisms that move any vertex to any other.  Two facts follow:
 If the ratio bound is already at most lo, the greedy set is proved
 optimal without the vertex-0 search.  The circle family and the orbital
 branching run on one solver: one node count and deadline.  No bound is
-taken from bounds.py.
+taken from bounds.py.  max_independent_set runs the plain solve on any
+graph, with no symmetry assumed.
 
 Runs are deterministic: all scans are in ascending vertex order.  A
 budget (wall-clock seconds, checked on every node) caps the search; on
@@ -91,6 +98,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from itertools import combinations, compress
+from typing import Collection
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
 from .constructions import circle_family
@@ -446,11 +454,14 @@ def _deadline(budget: float) -> float:
     return time.monotonic() + budget
 
 
-def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
+def _search(
+    g: Graph, deadline: float, codes: list[int] | None = None, n: int = 0, circle: Collection[int] | None = None
+) -> SearchResult:
     """The one root routine: greedy target, one solver, witness check.
 
-    With p, g is antipodality_graph(p) and, when antipodal pairs exist,
-    the symmetric root replaces the plain solve of all of g.
+    With circle, codes[i] is vertex i's code over n coordinates, S_n acts
+    on g through them (module docstring), and the symmetric root with
+    circle family circle replaces the plain solve of all of g.
     """
     everything = (1 << g.n) - 1
     greedy = _greedy_mask(g.adj, everything)
@@ -459,11 +470,10 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 3 * g.n + 1000))
     try:
-        if p is not None and p.nontrivial_regime:
-            codes = [code for _, code in parse_codes(g.labels)]
-            size, wit = _symmetric_solve(solver, codes, p, lo)
-        else:
+        if circle is None:
             size, wit = solver.solve(everything, lo)
+        else:
+            size, wit = _symmetric_solve(solver, codes, n, circle, lo)
         proved = True
     except _OutOfTime:
         size = 0
@@ -484,17 +494,18 @@ def _search(g: Graph, deadline: float, p: Params | None = None) -> SearchResult:
     )
 
 
-def _symmetric_solve(solver: _Solver, codes: list[int], p: Params, lo: int) -> tuple[int, int]:
-    """solver.solve of all of antipodality_graph(p), against target lo:
-    the circle ratio bound, then orbital branching (module docstring).
-    Same fail-low contract as _Solver.solve."""
-    everything = (1 << len(codes)) - 1
-    circle = circle_family(p).codes
+def _symmetric_solve(solver: _Solver, codes: list[int], n: int, circle: Collection[int], lo: int) -> tuple[int, int]:
+    """solver.solve of all of the solver's graph, against target lo, for a
+    graph on which S_n acts through the vertex codes, codes[i] being
+    vertex i's code over n coordinates: the ratio bound of the circle
+    family, the vertices whose codes are in circle, then orbital
+    branching (module docstring).  Same fail-low contract as
+    _Solver.solve."""
     h = sum(1 << i for i, c in enumerate(codes) if c in circle)
     upper = len(codes) * solver.solve(h, -1)[0] // h.bit_count()
     if upper <= lo:
         return upper, 0
-    return _orbital_solve(solver, codes, p.n, everything, ((1 << p.n) - 1,), lo)
+    return _orbital_solve(solver, codes, n, (1 << len(codes)) - 1, ((1 << n) - 1,), lo)
 
 
 def _orbital_solve(
@@ -564,6 +575,11 @@ def antipodality_graph(p: Params) -> Graph:
     return Graph(labels=labels, adj=adj)
 
 
+def _kset_codes(n: int, k: int) -> list[int]:
+    """The k-subsets of [n] in lex order, each as the mask with bit x - 1 for element x."""
+    return [sum(1 << x for x in s) for s in combinations(range(n), k)]
+
+
 def kneser_graph(n: int, k: int) -> Graph:
     """k-subsets of [n] with an edge per disjoint pair, lex vertex order;
     each vertex is labelled by its elements, comma-separated.  A k-set is
@@ -573,20 +589,22 @@ def kneser_graph(n: int, k: int) -> Graph:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
     if comb_exceeds(n, k, VERTEX_CAP):
         raise TooLarge(f"C({n},{k}) exceeds the vertex cap {VERTEX_CAP}")
-    sets = list(combinations(range(1, n + 1), k))
-    adj = partner_bitsets([sum(1 << (x - 1) for x in s) for s in sets], n)
-    return Graph(labels=tuple(",".join(map(str, s)) for s in sets), adj=tuple(adj))
+    codes = _kset_codes(n, k)
+    labels = tuple(",".join(str(x + 1) for x in _bits(c)) for c in codes)
+    return Graph(labels=labels, adj=tuple(partner_bitsets(codes, n)))
 
 
 def max_antipodal_free(p: Params, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Exact maximum antipodal-free subfamily of V(n, k, l).
 
-    The search starts at the symmetric root (module docstring), which
-    computes its own ratio bounds.  The witness is re-verified
-    antipodal-free, and the optimum is checked against the applicable
-    closed-form bounds before returning.
+    For n >= 2k the search starts at the symmetric root (module
+    docstring), which computes its own ratio bounds.  The witness is
+    re-verified antipodal-free, and the optimum is checked against the
+    applicable closed-form bounds before returning.
     """
-    result = _search(antipodality_graph(p), _deadline(budget), p)
+    g = antipodality_graph(p)
+    codes = [code for _, code in parse_codes(g.labels)]
+    result = _search(g, _deadline(budget), codes, p.n, circle_family(p).codes if p.nontrivial_regime else None)
     fam = VectorFamily.from_pairs(p, parse_codes(result.witness))
     if len(fam) != result.optimum:
         raise RuntimeError("solver witness has duplicate or invalid members")
@@ -603,9 +621,15 @@ def max_intersecting(n: int, k: int, budget: float = DEFAULT_BUDGET) -> SearchRe
     """Exact maximum intersecting k-uniform family over [n].
 
     Independent sets of the Kneser graph are exactly the intersecting
-    families.  For n >= 2k the optimum is checked against ekr_bound.
+    families.  The search starts at the symmetric root (module
+    docstring) for every (n, k): the circle family is the n cyclic
+    k-intervals of [n], and its ratio bound is C(n-1, k-1) for n >= 2k
+    and C(n, k) below.  For n >= 2k the optimum is checked against
+    ekr_bound.
     """
-    result = max_independent_set(kneser_graph(n, k), budget)
+    g = kneser_graph(n, k)
+    circle = {sum(1 << ((i + t) % n) for t in range(k)) for i in range(n)}
+    result = _search(g, _deadline(budget), _kset_codes(n, k), n, circle)
     if n >= 2 * k and result.proof_of_optimality and result.optimum > ekr_bound(n, k):
         raise RuntimeError(f"solver optimum {result.optimum} exceeds EKR at n={n}, k={k}")
     return result

@@ -24,6 +24,7 @@ from antipodal import (
     antipodal_degree,
     antipodality_graph,
     cardinality_v,
+    circle_family,
     ekr_bound,
     fk1_bound,
     kneser_graph,
@@ -850,13 +851,25 @@ def test_ratio_inequality_from_standalone_searches():
     assert max_antipodal_free(Params(8, 3, 2), budget=0).optimum == 230
 
 
-@pytest.mark.parametrize("triple,circle", [((8, 2, 1), 168), ((8, 3, 2), 280), ((9, 3, 1), 224)])
+@pytest.mark.parametrize(
+    "triple,circle",
+    [((8, 2, 1), 168), ((8, 3, 2), 280), ((9, 3, 1), 224), ((10, 3), 36), ((12, 5), 330), ((13, 5), 495)],
+)
 def test_ratio_bounds_close_at_their_values(monkeypatch, triple, circle):
     # Against a target equal to the circle ratio bound, the symmetric root
-    # returns that bound and never branches.
-    p = Params(*triple)
-    g = antipodality_graph(p)
-    codes = [parse_vector(s).code for s in g.labels]
+    # returns that bound and never branches.  A pair (n, k) stands for the
+    # Kneser graph, whose circle family is the n cyclic k-intervals of [n]
+    # and whose ratio bound is EKR's C(n-1, k-1).
+    if len(triple) == 3:
+        p = Params(*triple)
+        g = antipodality_graph(p)
+        codes = [parse_vector(s).code for s in g.labels]
+        n, h = p.n, circle_family(p).codes
+    else:
+        n, k = triple
+        g = kneser_graph(n, k)
+        codes = [sum(1 << (int(x) - 1) for x in s.split(",")) for s in g.labels]
+        h = {sum(1 << ((i + t) % n) for t in range(k)) for i in range(n)}
     branched = []
     orbital = search._orbital_solve
 
@@ -866,17 +879,23 @@ def test_ratio_bounds_close_at_their_values(monkeypatch, triple, circle):
 
     monkeypatch.setattr(search, "_orbital_solve", recording)
     solver = search._Solver(g.adj, float("inf"))
-    assert search._symmetric_solve(solver, codes, p, circle) == (circle, 0)
+    assert search._symmetric_solve(solver, codes, n, h, circle) == (circle, 0)
     assert not branched
 
 
 def test_symmetric_root_never_reads_closed_form_bounds(monkeypatch):
-    # Vacuous closed forms: the ratio bound is computed from circle_family
-    # by the solver, never looked up in bounds.py.
+    # Vacuous closed forms: the ratio bound is computed from the circle
+    # family by the solver, never looked up in bounds.py, on V(n,k,l) and
+    # on Kneser graphs alike.
     for name in ("theorem1_bound", "theorem2_bound"):
         monkeypatch.setattr(search, name, cardinality_v)
+    monkeypatch.setattr(search, "ekr_bound", math.comb)
     for p, alpha in [((6, 2, 1), 22), ((7, 3, 1), 60), ((7, 3, 2), 90)]:
         result = max_antipodal_free(Params(*p), budget=30.0)
+        assert result.proof_of_optimality
+        assert result.optimum == alpha
+    for nk, alpha in [((10, 3), 36), ((12, 5), 330)]:
+        result = max_intersecting(*nk, budget=30.0)
         assert result.proof_of_optimality
         assert result.optimum == alpha
 
@@ -985,9 +1004,22 @@ def test_node_count_ceiling_kneser():
     assert nodes[8] <= 25 and nodes[9] <= 59 and nodes[10] <= 99
 
 
-def test_max_intersecting_matches_brute():
-    g = kneser_graph(6, 2)
-    assert max_intersecting(6, 2).optimum == brute_max_independent(_neighbor_lists(g))
+@pytest.mark.parametrize("nk,value,ceiling", [((12, 5), 330, 3), ((13, 5), 495, 5)])
+def test_max_intersecting_proves_ekr_in_a_few_nodes(nk, value, ceiling):
+    # The circle ratio bound C(n-1, k-1) meets the greedy set at the root;
+    # the plain solver proves neither instance in 60 s.
+    result = max_intersecting(*nk)
+    assert result.proof_of_optimality
+    assert result.optimum == value
+    assert result.nodes_explored <= ceiling
+
+
+# n < 2k, k = n, k = 1 and n = 2k: the symmetric root runs for every (n, k).
+@pytest.mark.parametrize("nk", [(6, 2), (3, 2), (5, 3), (1, 1), (4, 4), (5, 1), (6, 3), (7, 3)])
+def test_max_intersecting_matches_brute(nk):
+    result = max_intersecting(*nk)
+    assert result.proof_of_optimality
+    assert result.optimum == len(result.witness) == brute_max_independent(_neighbor_lists(kneser_graph(*nk)))
 
 
 def test_search_result_as_dict_omits_timing():
