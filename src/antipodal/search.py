@@ -6,7 +6,9 @@ algebra is word-parallel.  antipodality_graph builds the graph of each
 V(n, k, l) once per process and hands every later caller the same
 immutable Graph.  It and kneser_graph take their adjacency rows from
 vectors.partner_bitsets: the k-subsets of [n] are minus-free codes,
-whose antipodal partners are the disjoint sets.  The solver is a branch
+whose antipodal partners are the disjoint sets.  Every Graph checks its
+masks when built, symmetry included: against the transpose of its rows,
+vectors.bit_columns, with no loop over the edges.  The solver is a branch
 and bound that threads a target through the recursion (the incumbent
 pruning of Tomita-Seki style maximum-clique solvers).  solve(mask, lo)
 is exact whenever alpha(mask) > lo; otherwise it fails low, returning
@@ -97,7 +99,7 @@ import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations, compress
+from itertools import compress
 from typing import Collection
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
@@ -107,12 +109,14 @@ from .vectors import (
     Params,
     VectorFamily,
     antipodal_degree,
+    bit_columns,
     cardinality_exceeds,
     comb_exceeds,
     enumerate_v,
     find_antipodal_pair,
     parse_codes,
     partner_bitsets,
+    subset_masks,
 )
 
 __all__ = [
@@ -132,7 +136,14 @@ _GRAPH_CACHE_ENTRIES = 8  # antipodality graphs kept per process
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph: labels plus one adjacency bitmask per vertex."""
+    """Undirected graph: labels plus one adjacency bitmask per vertex.
+
+    Construction checks the masks: one per label, each inside the vertex
+    range (so none is negative) and without its own vertex, then
+    symmetry.  The adjacency is symmetric exactly when every row lies in
+    its own column of the transpose, vectors.bit_columns of the rows; for
+    the first row i that does not, the lowest bit j outside names the
+    asymmetric edge i-j, the first in row-major order."""
 
     labels: tuple[str, ...]
     adj: tuple[int, ...]
@@ -146,14 +157,9 @@ class Graph:
                 raise InvalidParams(f"adjacency of vertex {i} leaves the vertex range")
             if mask >> i & 1:
                 raise InvalidParams(f"self-loop at vertex {i}")
-        for i, mask in enumerate(self.adj):
-            mm = mask
-            while mm:
-                lsb = mm & -mm
-                j = lsb.bit_length() - 1
-                mm ^= lsb
-                if not self.adj[j] >> i & 1:
-                    raise InvalidParams(f"asymmetric edge {i}-{j}")
+        for i, (row, column) in enumerate(zip(self.adj, bit_columns(self.adj, n))):
+            if extra := row & ~column:
+                raise InvalidParams(f"asymmetric edge {i}-{(extra & -extra).bit_length() - 1}")
 
     @property
     def n(self) -> int:
@@ -575,11 +581,6 @@ def antipodality_graph(p: Params) -> Graph:
     return Graph(labels=labels, adj=adj)
 
 
-def _kset_codes(n: int, k: int) -> list[int]:
-    """The k-subsets of [n] in lex order, each as the mask with bit x - 1 for element x."""
-    return [sum(1 << x for x in s) for s in combinations(range(n), k)]
-
-
 def kneser_graph(n: int, k: int) -> Graph:
     """k-subsets of [n] with an edge per disjoint pair, lex vertex order;
     each vertex is labelled by its elements, comma-separated.  A k-set is
@@ -589,7 +590,7 @@ def kneser_graph(n: int, k: int) -> Graph:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
     if comb_exceeds(n, k, VERTEX_CAP):
         raise TooLarge(f"C({n},{k}) exceeds the vertex cap {VERTEX_CAP}")
-    codes = _kset_codes(n, k)
+    codes = subset_masks((1 << n) - 1, k)
     labels = tuple(",".join(str(x + 1) for x in _bits(c)) for c in codes)
     return Graph(labels=labels, adj=tuple(partner_bitsets(codes, n)))
 
@@ -629,7 +630,7 @@ def max_intersecting(n: int, k: int, budget: float = DEFAULT_BUDGET) -> SearchRe
     """
     g = kneser_graph(n, k)
     circle = {sum(1 << ((i + t) % n) for t in range(k)) for i in range(n)}
-    result = _search(g, _deadline(budget), _kset_codes(n, k), n, circle)
+    result = _search(g, _deadline(budget), subset_masks((1 << n) - 1, k), n, circle)
     if n >= 2 * k and result.proof_of_optimality and result.optimum > ekr_bound(n, k):
         raise RuntimeError(f"solver optimum {result.optimum} exceeds EKR at n={n}, k={k}")
     return result

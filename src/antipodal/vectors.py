@@ -38,11 +38,16 @@ plus bits, its plus set the vector's minus bits with a (k - l)-subset
 of its zero bits.  antipodal_neighbors decodes every partner, in
 partner_codes order.  Partners within a family are read from its member
 bitsets, one int per coordinate and sign whose bit j stands for the
-j-th member (_columns): partner_bitsets yields, for each member, the
-bitset of its partners in a few big-int operations.  find_antipodal_pair
-takes the first member whose bitset is not empty and builds partner
-codes only for it; the antipodality graph and the Kneser graph in
-search take the bitsets as their adjacency rows.
+j-th member: partner_bitsets yields, for each member, the bitset of its
+partners in a few big-int operations.  find_antipodal_pair takes the
+first member whose bitset is not empty and builds partner codes only
+for it; the antipodality graph and the Kneser graph in search take the
+bitsets as their adjacency rows.
+
+bit_columns is the package's one bit transpose: it turns a list of
+ints into the ints of its bit columns.  partner_bitsets takes the member
+bitsets from it, the columns of the codes, and search.Graph checks the
+symmetry of its adjacency rows against their columns.
 """
 
 from __future__ import annotations
@@ -83,15 +88,18 @@ __all__ = [
     "find_antipodal_pair",
     "partner_codes",
     "partner_bitsets",
+    "bit_columns",
 ]
 
 # enumerate_v refuses a V(n, k, l) larger than this: the biggest one any
 # caller enumerates is 2,520, and 200,000 members take about 50 MB.
 _ENUMERATE_CAP = 200_000
 
-# Codes packed per step of _columns, which bounds its transient bytes
-# and texts: find_antipodal_pair peaks near 0.75 MB (tracemalloc) on the
-# 15,015 members of example1(14, 4, 2).
+# Rows packed per step of bit_columns, which bounds its transient bytes
+# and texts to about a chunk of rows: find_antipodal_pair peaks near
+# 0.75 MB (tracemalloc) on the 15,015 members of example1(14, 4, 2), and
+# the symmetry check of a 5,000-vertex graph, rows 5,000 bits wide, near
+# 43 MB.
 _COLUMN_CHUNK = 4096
 
 
@@ -454,15 +462,18 @@ def antipodal_neighbors(v: SignedVector, p: Params) -> list[SignedVector]:
     return [_decode(c, p.n) for c in partner_codes(v.code, p)]
 
 
-def _columns(codes: Iterable[int], width: int) -> list[int]:
-    """The member bitsets of these codes: bitset i has bit j set when
-    bit i of the j-th code is set, for each i < width.
+def bit_columns(codes: Iterable[int], width: int) -> list[int]:
+    """The bit columns of these codes, which must be non-negative and
+    below 2**width: column i has bit j set when bit i of the j-th code is
+    set, for each i < width.  Over a family's codes the columns are its
+    member bitsets; over an adjacency matrix they are its transpose.
 
     _COLUMN_CHUNK codes at a time are packed into one int, a slot of
     8 * ceil(width / 8) bits each; its binary numeral holds the slots
     last to first, so every step-th digit from the one for bit i is
-    bitset i of the chunk, read as one numeral.  Time and memory are
-    linear in the number of codes."""
+    column i of the chunk, read as one numeral.  Time is linear in the
+    number of codes times width: per chunk, one packing and one C-level
+    slice per column.  The transient memory is that of one chunk."""
     step = 8 * (nbytes := (width + 7) // 8)
     columns = [0] * width
     it, start = iter(codes), 0
@@ -482,7 +493,7 @@ def partner_bitsets(codes: Collection[int], n: int) -> Iterator[int]:
     codes must be sized and re-iterable, such as a list or a family's
     codes.  A code w is a partner of v exactly when plus(w) misses
     plus(v), minus(w) lies in plus(v), and plus(w) holds minus(v).  On
-    the member bitsets (_columns) the first two depend only on the plus
+    the member bitsets (bit_columns) the first two depend only on the plus
     mask P of v, so for each run of codes with plus mask P the codes
     meeting them are computed once, as X_P = everyone minus (the plus
     bitsets in P OR the minus bitsets outside P); the partners of v are
@@ -492,7 +503,7 @@ def partner_bitsets(codes: Collection[int], n: int) -> Iterator[int]:
     on minus-free codes a partner is a disjoint set, and when no two
     plus sets can be disjoint (n < 2k) every row is 0."""
     full = (1 << n) - 1
-    columns = _columns(codes, 2 * n)
+    columns = bit_columns(codes, 2 * n)
     everyone = (1 << len(codes)) - 1
     last_plus = None
     for code in codes:

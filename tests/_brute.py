@@ -12,7 +12,8 @@ on purpose; keep the inputs tiny.
 reference_solve and reference_cover_bound are the exception: they are
 the solver's earlier node procedure and cover bound, kept to pin the
 search tree of the current ones.  So is reference_antipodality_adj, the
-antipodality graph's earlier build from partners looked up by code.
+antipodality graph's earlier build from partners looked up by code, and
+reference_asymmetric_edge, Graph's earlier per-edge symmetry loop.
 """
 
 from __future__ import annotations
@@ -94,6 +95,22 @@ def reference_antipodality_adj(p) -> tuple[int, ...]:
     members = list(enumerate_v(p))
     index = {v.code: i for i, v in enumerate(members)}
     return tuple(sum(1 << index[w.code] for w in antipodal_neighbors(v, p)) for v in members)
+
+
+def reference_asymmetric_edge(adj: tuple[int, ...]) -> str | None:
+    """Graph's earlier symmetry check, the loop over every edge: the
+    message for the first edge i-j, rows in order and j ascending, whose
+    reverse is missing, or None.  Every mask must be inside the vertex
+    range."""
+    for i, mask in enumerate(adj):
+        mm = mask
+        while mm:
+            lsb = mm & -mm
+            j = lsb.bit_length() - 1
+            mm ^= lsb
+            if not adj[j] >> i & 1:
+                return f"asymmetric edge {i}-{j}"
+    return None
 
 
 def brute_max_independent(adj_lists: list[list[int]]) -> int:

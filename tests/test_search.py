@@ -35,10 +35,11 @@ from antipodal import (
     theorem1_bound,
     theorem2_bound,
 )
-from antipodal import bounds, search
+from antipodal import bounds, search, vectors
 from _brute import (
     antipodal_pair_counts,
     brute_max_independent,
+    reference_asymmetric_edge,
     reference_cover_bound,
     reference_max_independent,
     reference_solve,
@@ -86,11 +87,60 @@ def test_graph_rejects_self_loops():
         (("a",), (0b1,), "self-loop"),
         (("a", "b"), (0,), "adjacency masks"),
         (("a", "b"), (0b10, 0), "asymmetric edge 0-1"),
+        (("a", "b"), (0, 0b01), "asymmetric edge 1-0$"),
+        # two edges of row 0 lack their reverse: the lower one is named
+        (("a", "b", "c"), (0b110, 0, 0), "asymmetric edge 0-1$"),
+        # the first asymmetric row comes after a symmetric edge 0-1
+        (("a", "b", "c"), (0b010, 0b101, 0b000), "asymmetric edge 1-2$"),
+        # range and self-loops are checked on every row before symmetry
+        (("a", "b"), (0b10, 0b100), "adjacency of vertex 1 leaves the vertex range"),
+        (("a", "b"), (-1, 0), "adjacency of vertex 0 leaves the vertex range"),
+        (("a", "b"), (0b10, -2), "adjacency of vertex 1 leaves the vertex range"),
     ],
 )
 def test_graph_rejects_bad_adjacency_masks(labels, adj, message):
     with pytest.raises(InvalidParams, match=message):
         Graph(labels, adj)
+
+
+def test_graph_checks_symmetry_past_one_column_chunk():
+    # A path on one more chunk of rows than the transpose packs at once.
+    n = vectors._COLUMN_CHUNK + 5
+    labels = tuple(map(str, range(n)))
+    path = [(1 << i - 1 if i else 0) | (1 << i + 1 if i < n - 1 else 0) for i in range(n)]
+    assert Graph(labels, tuple(path)).adj == tuple(path)
+    path[n - 2] ^= 1 << n - 3  # drop the reverse of edge n-3 - n-2
+    with pytest.raises(InvalidParams, match=f"^asymmetric edge {n - 3}-{n - 2}$"):
+        Graph(labels, tuple(path))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_graph_symmetry_check_matches_the_edge_loop(seed):
+    # Seeded random graphs, sparse to dense, with 0-3 single-bit flips off
+    # the diagonal: Graph accepts and rejects as the earlier loop did, with
+    # its message.  Seed 0 is one vertex past a column chunk.
+    rng = random.Random(seed)
+    if seed == 0:
+        n = vectors._COLUMN_CHUNK + 1
+        edges = [rng.sample(range(n), 2) for _ in range(2 * n)]
+    else:
+        n, p_edge = rng.randint(0, 300), rng.random()
+        edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p_edge]
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    for _ in range(rng.randint(0, 3) if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        adj[i] ^= 1 << j
+    adj = tuple(adj)
+    message = reference_asymmetric_edge(adj)
+    labels = tuple(map(str, range(n)))
+    if message is None:
+        assert Graph(labels, adj).adj == adj
+    else:
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            Graph(labels, adj)
 
 
 def test_antipodality_graph_frozen_4_2_1():

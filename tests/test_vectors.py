@@ -343,7 +343,7 @@ def test_member_bitsets_match_the_codes():
     for width, count in ((1, 0), (3, 5), (8, 9), (13, 3 * vectors._COLUMN_CHUNK + 7)):
         codes = [rng.getrandbits(width) for _ in range(count)]
         expected = [int("0" + "".join(str(c >> i & 1) for c in reversed(codes)), 2) for i in range(width)]
-        assert vectors._columns(codes, width) == expected, (width, count)
+        assert vectors.bit_columns(codes, width) == expected, (width, count)
 
 
 # u = +++--000 and its partner w = --0+++00.  The first member shares
@@ -361,7 +361,7 @@ def test_find_antipodal_pair_shares_lists_only_by_their_mask(first):
 def test_find_antipodal_pair_on_all_of_v_with_k_equal_l_or_n_below_2k(triple, monkeypatch):
     fam = enumerate_v(Params(*triple))
     if fam.params.n < 2 * fam.params.k:  # no two k-sets are disjoint: None before any bitset is built
-        monkeypatch.setattr(vectors, "_columns", None)
+        monkeypatch.setattr(vectors, "bit_columns", None)
     pair = find_antipodal_pair(fam)
     assert pair == brute_find_antipodal_pair(fam)
     assert (pair is None) == (fam.params.n < 2 * fam.params.k)
