@@ -12,7 +12,12 @@ in which the change read lower; its last line is the whole summary,
 every run's value included, as one JSON object.  The summary also names
 each checkout's commit (`git rev-parse HEAD`, null outside a git
 checkout) and the machine (Python version, processor count, platform),
-so a before/after record can be written from it alone.
+so a before/after record can be written from it alone.  Its `over_bound`
+list names each metric whose change median is worse than the parent's
+by more than the metric's `bound`, relative to the parent median, in the
+direction `better` names; both are read from the `end_to_end` list of
+the BENCHMARK.json beside this script, which is only read.  The printed
+line of such a metric ends in OVER BOUND.
 """
 
 import argparse
@@ -22,6 +27,9 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
+
+_SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(root: str, workload: str, seconds: float, seed: int) -> dict:
@@ -78,6 +86,29 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     }
 
 
+def end_to_end_bounds() -> dict:
+    """{metric: (bound, better)} from the end_to_end list of BENCHMARK.json."""
+    with open(_SPEC) as fh:
+        return {m["name"]: (m["bound"], m["better"]) for m in json.load(fh)["end_to_end"]}
+
+
+def over_bound(metrics: dict, bounds: dict) -> list[str]:
+    """The metrics, in order, whose change median is worse than the
+    parent median by more than bound times the parent median; metrics
+    without a bound are not judged."""
+    over = []
+    for name, m in metrics.items():
+        if name not in bounds:
+            continue
+        bound, better = bounds[name]
+        worse = m["change_median"] - m["parent_median"]
+        if better == "higher":
+            worse = -worse
+        if worse > bound * abs(m["parent_median"]):
+            over.append(name)
+    return over
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -93,6 +124,7 @@ def main(argv=None) -> int:
         for root in order:
             runs[root].append(run_once(root, args.workload, args.seconds, args.seed))
     summary = summarize(runs[args.parent], runs[args.change])
+    summary["over_bound"] = over_bound(summary["metrics"], end_to_end_bounds())
     summary.update(workload=args.workload, seconds=args.seconds, seed=args.seed,
                    commits={"parent": commit(args.parent), "change": commit(args.change)}, machine=machine())
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs at seed {args.seed}: parent -> change")
@@ -100,7 +132,8 @@ def main(argv=None) -> int:
     for name, m in summary["metrics"].items():
         q1, q3 = m["parent_iqr"]
         print(f"  {name:<12} {m['parent_median']:>10.4f} -> {m['change_median']:>10.4f} {m['unit']:<5}"
-              f" parent IQR {q1:.4f}-{q3:.4f}, change lower in {m['change_lower']}/{summary['pairs']}")
+              f" parent IQR {q1:.4f}-{q3:.4f}, change lower in {m['change_lower']}/{summary['pairs']}"
+              + ("  OVER BOUND" if name in summary["over_bound"] else ""))
     print(f"  failed operations: parent {summary['failed']['parent']}, change {summary['failed']['change']}")
     print(json.dumps(summary))
     return 0

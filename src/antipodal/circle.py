@@ -60,7 +60,7 @@ from .bounds import theorem2_bound
 from .constructions import Permutation, apply_permutation, circle_family
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
 from .theorem1 import Violation, antipodal_free_precheck
-from .vectors import VectorFamily
+from .vectors import VectorFamily, bit_positions
 
 __all__ = [
     "CircleReport",
@@ -118,7 +118,7 @@ class CircleReport:
 def _member_getters(h: VectorFamily) -> list[itemgetter]:
     """Per member of the circle family h, an itemgetter of a bit table's
     entries (see _bit_table) at its code's set bits: plus, then minus."""
-    return [itemgetter(*(j for j in range(2 * h.params.n) if c >> j & 1)) for c in h.codes]
+    return [itemgetter(*bit_positions(c)) for c in h.codes]
 
 
 def _bit_table(image, n: int) -> list[int]:
@@ -157,10 +157,9 @@ def _lane_histogram(h: VectorFamily, codes: dict[int, None]) -> dict[int, int]:
     # A lane sums distinct bits below 2**(2n), and a lane's count is at
     # most |H| = n < 256, so neither sum carries into the next lane.
     total = 0
-    for v in h:
-        plus, minus = v.code & ((1 << n) - 1), v.code >> n
-        image = sum(c for t, c in enumerate(columns) if plus >> t & 1)
-        image += sum(c for t, c in enumerate(columns) if minus >> t & 1) << n
+    for code in h.codes:
+        image = sum(columns[t] for t in bit_positions(code & ((1 << n) - 1)))
+        image += sum(columns[t] for t in bit_positions(code >> n)) << n
         lane_codes = memoryview(image.to_bytes(2 * lanes, sys.byteorder)).cast(_LANE)
         total += int.from_bytes(bytes(map(codes.__contains__, lane_codes)), "little")
     counts = total.to_bytes(lanes, "little")

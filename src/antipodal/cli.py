@@ -357,11 +357,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     try:
         if args.threads < 1:
             raise InvalidParams(f"thread count must be >= 1, got {args.threads}")

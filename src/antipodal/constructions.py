@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidParams, RegimeError, TooLarge
-from .vectors import Params, VectorFamily, enumerate_v
+from .vectors import Params, VectorFamily, bit_positions, enumerate_v
 
 __all__ = [
     "Permutation",
@@ -67,7 +67,7 @@ def apply_permutation(fam: VectorFamily, sigma: Permutation) -> VectorFamily:
     if sigma.n != n:
         raise DimensionMismatch(f"permutation on [1..{sigma.n}] vs family with n={n}")
     table = [x - 1 for x in sigma.image] + [n + x - 1 for x in sigma.image]
-    codes = (sum(1 << t for j, t in enumerate(table) if c >> j & 1) for c in fam.codes)
+    codes = (sum(1 << table[j] for j in bit_positions(c)) for c in fam.codes)
     return VectorFamily.from_codes(fam.params, codes)
 
 

@@ -86,6 +86,14 @@ branching run on one solver: one node count and deadline.  No bound is
 taken from bounds.py.  max_independent_set runs the plain solve on any
 graph, with no symmetry assumed.
 
+Vertex masks are listed with vectors.bit_positions, the package's one
+bit reader, wherever a whole mask is scanned: the cover bound, the
+greedy set, the orbits and the witness.  The loops of _node and
+_greedy_mask take the lowest bit one at a time instead: they read a few
+bits, or a mask that changes while it is read, and a solve pass with
+bit_positions there was measured slower.  Kneser labels are
+vectors.mask_indices of the k-set masks.
+
 Runs are deterministic: all scans are in ascending vertex order.  A
 budget (wall-clock seconds, checked on every node) caps the search; on
 exhaustion the result carries proof_of_optimality=False and the greedy
@@ -99,7 +107,6 @@ import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import compress
 from typing import Collection
 
 from .bounds import ekr_bound, theorem1_bound, theorem2_bound
@@ -110,10 +117,12 @@ from .vectors import (
     VectorFamily,
     antipodal_degree,
     bit_columns,
+    bit_positions,
     cardinality_exceeds,
     comb_exceeds,
     enumerate_v,
     find_antipodal_pair,
+    mask_indices,
     parse_codes,
     partner_bitsets,
     subset_masks,
@@ -330,7 +339,7 @@ class _Solver:
         free = 0  # the unmatched vertices
         v = -1
         best_d = 0
-        for i in _bits(mask):
+        for i in bit_positions(mask):
             d = deg[i]
             if d > best_d:
                 best_d = d
@@ -410,7 +419,7 @@ def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
     """
     deg = [0] * len(adj)
     buckets = [0] * len(adj)  # every degree is below the vertex count
-    for i in _bits(m):
+    for i in bit_positions(m):
         deg[i] = (adj[i] & m).bit_count()
         buckets[deg[i]] |= 1 << i
     chosen = 0
@@ -441,17 +450,8 @@ def _greedy_mask(adj: tuple[int, ...], m: int) -> int:
     return chosen
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, ascending: range filtered in one C-level pass
-    by the binary digits of mask, reversed and translated to bytes 0 and 1."""
-    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
-
-
 def _is_independent(adj: tuple[int, ...], mask: int) -> bool:
-    return all(adj[i] & mask == 0 for i in _bits(mask))
+    return all(adj[i] & mask == 0 for i in bit_positions(mask))
 
 
 def _deadline(budget: float) -> float:
@@ -494,7 +494,7 @@ def _search(
         raise RuntimeError(f"solver witness is not an independent set of size {size}")
     return SearchResult(
         optimum=size,
-        witness=tuple(g.labels[i] for i in _bits(wit)),
+        witness=tuple(g.labels[i] for i in bit_positions(wit)),
         nodes_explored=solver.nodes,
         proof_of_optimality=proved,
     )
@@ -534,7 +534,7 @@ def _orbital_solve(
         return bound, 0
     full = (1 << n) - 1
     orbits: dict[tuple, int] = {}
-    for i in _bits(mask):
+    for i in bit_positions(mask):
         plus, minus = codes[i] & full, codes[i] >> n
         key = tuple(((plus & c).bit_count(), (minus & c).bit_count()) for c in cells)
         orbits[key] = orbits.get(key, 0) | 1 << i
@@ -591,7 +591,7 @@ def kneser_graph(n: int, k: int) -> Graph:
     if comb_exceeds(n, k, VERTEX_CAP):
         raise TooLarge(f"C({n},{k}) exceeds the vertex cap {VERTEX_CAP}")
     codes = subset_masks((1 << n) - 1, k)
-    labels = tuple(",".join(str(x + 1) for x in _bits(c)) for c in codes)
+    labels = tuple(",".join(map(str, mask_indices(c))) for c in codes)
     return Graph(labels=labels, adj=tuple(partner_bitsets(codes, n)))
 
 

@@ -13,18 +13,22 @@ the subset tree of a-sets carrying comp as a bitmask, abandoning any
 branch whose comp pool has already shrunk to at most C(m-1, b-1) members
 (the disjunction then holds throughout the subtree) or whose A side can
 no longer exceed C(m-1, a-1).  Completeness: any counterexample pair
-(A, B) yields the counterexample (A, comp(A)) at a leaf.
+(A, B) yields the counterexample (A, comp(A)) at a leaf.  A leaf is
+reached only when both caps are exceeded, so every leaf is one.
+
+The sweep holds the a-sets and b-sets of [m] as masks from
+vectors.subset_masks, in lex order; an a-set meets a b-set when their
+masks share a bit, and witnesses are written with vectors.mask_indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GroundMismatch, InvalidParams, PreconditionError, RangeError, TooLarge
-from .vectors import comb_exceeds
+from .vectors import comb_exceeds, mask_indices, subset_masks
 
 __all__ = [
     "SetFamily",
@@ -161,19 +165,12 @@ def verify_prop1_exhaustive(m: int, a: int, b: int) -> Prop1Report:
         raise PreconditionError(f"need m >= a + b, got m={m}, a={a}, b={b}")
     if comb_exceeds(m, a, _SWEEP_CAP) or comb_exceeds(m, b, _SWEEP_CAP):
         raise TooLarge(f"sweep needs C({m},{a}) and C({m},{b}) <= {_SWEEP_CAP}")
-    asets = list(combinations(range(1, m + 1), a))
-    bsets = list(combinations(range(1, m + 1), b))
+    asets = subset_masks((1 << m) - 1, a)
+    bsets = subset_masks((1 << m) - 1, b)
     cap_a = math.comb(m - 1, a - 1)
     cap_b = math.comb(m - 1, b - 1)
     n_a = len(asets)
-    meets = []
-    for s in asets:
-        ss = set(s)
-        mask = 0
-        for j, t in enumerate(bsets):
-            if ss.intersection(t):
-                mask |= 1 << j
-        meets.append(mask)
+    meets = [sum(1 << j for j, t in enumerate(bsets) if s & t) for s in asets]
 
     examined = 0
     counterexamples = 0
@@ -187,13 +184,12 @@ def verify_prop1_exhaustive(m: int, a: int, b: int) -> Prop1Report:
         if size_a + (n_a - i) <= cap_a:
             examined += 1  # A side holds for every extension
             return
-        if i == n_a:
+        if i == n_a:  # both caps exceeded: a counterexample
             examined += 1
-            if size_a > cap_a:
-                counterexamples += 1
-                if len(witnesses) < 4:
-                    fam_a = [asets[j] for j in members]
-                    witnesses.append(f"|A|={size_a} A={fam_a} |comp(A)|={comp.bit_count()}")
+            counterexamples += 1
+            if len(witnesses) < 4:
+                fam_a = [mask_indices(asets[j]) for j in members]
+                witnesses.append(f"|A|={size_a} A={fam_a} |comp(A)|={comp.bit_count()}")
             return
         recurse(i + 1, size_a, members, comp)
         members.append(i)

@@ -45,16 +45,21 @@ exceeds the threshold; the cross check and the doomed set are skipped.
 The report keys keep the pair order either way.
 The deletion keeps the survivors as codes, and lemma2_check groups their
 minus masks by support mask and tests each group with all_pairs_meet.
+
+Index sets and masks convert through vectors alone: the pairs take A
+from the l-subsets of [n] and B from those of [n] - A, both from
+subset_masks, with index tuples from mask_indices, and subfamily and
+family_b encode their A, B and T with index_mask, whose RangeError
+names the first index outside [1..n].
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from itertools import combinations
 from typing import Iterable
 
 from .bounds import choose, theorem1_bound
-from .errors import BadPair, BadT, RangeError, TooLarge
+from .errors import BadPair, BadT, TooLarge
 from .setfamilies import SetFamily, all_pairs_meet
 from .vectors import (
     Params,
@@ -63,6 +68,7 @@ from .vectors import (
     find_antipodal_pair,
     format_codes,
     format_vector,
+    index_mask,
     mask_indices,
     subset_masks,
 )
@@ -139,18 +145,15 @@ class TraceReport:
         return d
 
 
-def _check_indices(p: Params, indices: Iterable) -> None:
-    for i in indices:
-        if not (isinstance(i, int) and 1 <= i <= p.n):
-            raise RangeError(f"index {i!r} outside [1..{p.n}]")
-
-
-def _check_pair(p: Params, a: frozenset[int], b: frozenset[int]) -> None:
+def _pair_masks(p: Params, a: frozenset[int], b: frozenset[int]) -> tuple[int, int]:
+    """The masks of A and B, once they are checked to be disjoint l-sets
+    of [n]; the indices are checked as the one set A | B."""
     if len(a) != p.l or len(b) != p.l:
         raise BadPair(f"index sets must both have size l={p.l}, got {len(a)} and {len(b)}")
     if a & b:
         raise BadPair(f"index sets overlap in {sorted(a & b)}")
-    _check_indices(p, a | b)
+    both, a_mask = index_mask(a | b, p.n), index_mask(a, p.n)
+    return a_mask, both ^ a_mask
 
 
 def _slices(fam: VectorFamily) -> dict[int, list[int]]:
@@ -186,14 +189,16 @@ def check_pair_cap(p: Params) -> None:
 def _ordered_pairs(p: Params):
     """All ordered pairs of disjoint l-sets, lexicographic on (A, B): each
     as its two index tuples and its two bitmasks; check_pair_cap first,
-    so over the cap nothing is built."""
+    so over the cap nothing is built.  Each A walks only the l-subsets of
+    the coordinates it misses, so the walk costs the pair count, which
+    the cap bounds, and not C(n, l)**2."""
     check_pair_cap(p)
-    bits = [1 << i for i in range(p.n)]
-    index_tuples = {sum(c): tuple(x.bit_length() for x in c) for c in combinations(bits, p.l)}
+    full = (1 << p.n) - 1
+    index_tuples = {mask: mask_indices(mask) for mask in subset_masks(full, p.l)}
     return (
         (a, index_tuples[b_mask], a_mask, b_mask)
         for a_mask, a in index_tuples.items()
-        for b_mask in map(sum, combinations([x for x in bits if not x & a_mask], p.l))
+        for b_mask in subset_masks(full ^ a_mask, p.l)
     )
 
 
@@ -201,9 +206,7 @@ def subfamily(fam: VectorFamily, a: Iterable[int], b: Iterable[int]) -> SetFamil
     """The slice F(A, B): plus remainders of members with minus set B and
     plus set containing A, as a (k-l)-uniform family over [1..n]."""
     p = fam.params
-    a, b = frozenset(a), frozenset(b)
-    _check_pair(p, a, b)
-    a_mask, b_mask = sum(1 << (i - 1) for i in a), sum(1 << (i - 1) for i in b)
+    a_mask, b_mask = _pair_masks(p, frozenset(a), frozenset(b))
     full = (1 << p.n) - 1
     codes = _slices(fam).get(a_mask | b_mask << p.n, ())
     return SetFamily(p.n, p.k - p.l, [mask_indices(c & full ^ a_mask) for c in codes])
@@ -295,9 +298,8 @@ def family_b(fam: VectorFamily, t: Iterable[int]) -> SetFamily:
     t = frozenset(t)
     if len(t) != p.k + p.l:
         raise BadT(f"support set must have size k+l={p.k + p.l}, got {len(t)}")
-    _check_indices(p, t)
+    t_mask = index_mask(t, p.n)
     n, full = p.n, (1 << p.n) - 1
-    t_mask = sum(1 << (i - 1) for i in t)
     return SetFamily(p.n, p.l, [mask_indices(c >> n) for c in fam.codes if (c | c >> n) & full == t_mask])
 
 

@@ -23,6 +23,20 @@ to make a vector from a code.  Vector text is read here and nowhere
 else: parse_vector reads one text, parse_codes a list of them in one
 pass, with the same translation tables and the same errors.
 
+Index sets and masks convert here and nowhere else, as every index set
+of the paper is a mask in this package: the plus and minus sets,
+the l-set pairs (A, B) of the slices, the supports T and the set
+families of Proposition 1.  index_mask encodes 1-based coordinates,
+with RangeError for the first one outside [1..n]; mask_indices lists a
+mask's coordinates back, bit_positions its 0-based bits, and both read
+the binary digits of the mask in one C-level pass (_bit_flags), which
+raises RangeError for a negative mask, as its set bits are not finite.
+subset_masks walks the r-subsets of a mask's bits, the one subset walk
+of the package besides the enumeration of V(n, k, l) itself.  A
+permutation's images are not index sets: circle._bit_table and the
+relabel table of constructions.apply_permutation map them to bits on
+their own.
+
 A VectorFamily is its parameters and its member codes: `codes` is
 dict.fromkeys of them, which keeps member order, keeps the first of any
 duplicates and answers membership in O(1).  Members are decoded into
@@ -76,6 +90,8 @@ __all__ = [
     "format_vector",
     "format_codes",
     "mask_indices",
+    "index_mask",
+    "bit_positions",
     "subset_masks",
     "scalar_product",
     "is_antipodal",
@@ -149,12 +165,7 @@ class SignedVector:
         plus, minus = frozenset(plus), frozenset(minus)
         if plus & minus:
             raise OverlapError(f"plus and minus sets overlap in {sorted(plus & minus)}")
-        code = 0
-        for shift, indices in ((0, plus), (n, minus)):
-            for i in indices:
-                if not (isinstance(i, int) and 1 <= i <= n):
-                    raise RangeError(f"index {i!r} outside [1..{n}]")
-                code |= 1 << (shift + i - 1)
+        code = index_mask(plus, n) | index_mask(minus, n) << n
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "code", code)
 
@@ -178,9 +189,39 @@ def _masks(v: SignedVector) -> tuple[int, int]:
     return v.code & ((1 << v.n) - 1), v.code >> v.n
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Byte i is 1 if bit i of mask is set, else 0, for i below
+    mask.bit_length(): the binary digits of mask, reversed and translated,
+    in one C-level pass.  A filter for compress.  A negative mask has no
+    finite set of bits (and bin gives its magnitude): RangeError."""
+    if mask < 0:
+        raise RangeError(f"mask {mask} is negative, so its set bits are not a finite set")
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The 0-based positions of the set bits of mask, ascending."""
+    return list(compress(range(mask.bit_length()), _bit_flags(mask)))
+
+
 def mask_indices(mask: int) -> tuple[int, ...]:
     """The 1-based coordinates of the set bits of mask, ascending."""
-    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+    return tuple(compress(range(1, mask.bit_length() + 1), _bit_flags(mask)))
+
+
+def index_mask(indices: Iterable[int], n: int) -> int:
+    """The mask of these 1-based coordinates of [n], bit i - 1 for i: the
+    inverse of mask_indices.  RangeError names the first index, in
+    iteration order, that is not an int in [1..n] (a bool is an int)."""
+    mask = 0
+    for i in indices:
+        if not (isinstance(i, int) and 1 <= i <= n):
+            raise RangeError(f"index {i!r} outside [1..{n}]")
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def _decode(code: int, n: int) -> SignedVector:
@@ -430,10 +471,9 @@ def cardinality_v(p: Params) -> int:
 
 def subset_masks(mask: int, r: int) -> list[int]:
     """The r-subsets of the set bits of mask, as masks, in lexicographic
-    order of their bit positions.  The bits are read off bin(mask), as
-    mask & -mask would give each one the memory of the whole mask."""
-    bits = [1 << i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
-    return [sum(c) for c in combinations(bits, r)]
+    order of their bit positions.  The bits are read off bit_positions,
+    as mask & -mask would give each one the memory of the whole mask."""
+    return [sum(c) for c in combinations([1 << i for i in bit_positions(mask)], r)]
 
 
 def partner_codes(code: int, p: Params) -> Iterator[int]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from antipodal import BadCharacter, OverlapError, RangeError, SignedVector, antipodal_neighbors, enumerate_v, search
+from antipodal import BadCharacter, OverlapError, RangeError, SignedVector, antipodal_neighbors, bit_positions, enumerate_v, search
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -155,7 +155,7 @@ def reference_solve(adj: tuple[int, ...], mask: int, lo: int) -> tuple[int, int,
         while True:
             leaf = v = -1
             best_d = 0
-            for i in search._bits(m):
+            for i in bit_positions(m):
                 d = (adj[i] & m).bit_count()
                 if d == 0:
                     chosen |= 1 << i

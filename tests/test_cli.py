@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from antipodal import (
     lemma2_check,
     load_family,
 )
-from antipodal import cli
+from antipodal import circle, cli, setfamilies, theorem1
 from antipodal.cli import main
 from antipodal.familyfile import save_family
 
@@ -100,10 +102,76 @@ def test_usage_error_exit_two(capsys):
     assert main([]) == 2
 
 
+def test_help_exit_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: antipodal")
+
+
 def test_verify_prop1(capsys):
     code, out, _ = run(capsys, "verify", "prop1", "4", "2", "2")
     assert code == 0
     assert "counterexamples: 0" in out
+
+
+def test_verify_prop1_counterexamples_print_their_witnesses(capsys, monkeypatch):
+    # With both caps read as 0, every maximal pair is a counterexample:
+    # the sweep's leaves report them, and the first four as witnesses.
+    monkeypatch.setattr(setfamilies, "math", SimpleNamespace(comb=lambda *a: 0))
+    code, out, _ = run(capsys, "verify", "prop1", "4", "1", "2")
+    assert code == 1
+    assert out == (
+        "caps: |A| <= 0 or |B| <= 0\n"
+        "maximal pairs examined: 15\n"
+        "counterexamples: 10\n"
+        "  witness: |A|=1 A=[(4,)] |comp(A)|=3\n"
+        "  witness: |A|=1 A=[(3,)] |comp(A)|=3\n"
+        "  witness: |A|=2 A=[(3,), (4,)] |comp(A)|=1\n"
+        "  witness: |A|=1 A=[(2,)] |comp(A)|=3\n"
+    )
+
+
+def test_verify_double_count_mismatch_exit_one(capsys, monkeypatch):
+    # 1! read as 0 makes the closed form 0, which the permutation sum of
+    # a nonempty family cannot match.
+    monkeypatch.setattr(circle, "math", SimpleNamespace(factorial=lambda x: 0 if x == 1 else math.factorial(x)))
+    code, out, _ = run(capsys, "verify", "double-count", "4", "2", "1", "--exhaustive")
+    assert code == 1
+    assert out.endswith(
+        "sum over sigma: 96\n"
+        "closed form:    0\n"
+        'violation [double-count]: permutation sum does not match the closed form {"lhs": 96, "rhs": 0}\n'
+        "FAILED\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, violation",
+    [
+        (
+            # C(5,2) read as 0: the accounting lower bound becomes |F| = 10.
+            ("choose", lambda n, r: 0 if (n, r) == (5, 2) else math.comb(n, r)),
+            'violation [accounting]: survivor count fell below the accounting lower bound '
+            '{"survivors": 9, "lower_bound": 10}',
+        ),
+        (
+            # C(5,3) read as 0: the survivor cap C(n,k+l) C(k+l-1,l-1) becomes 0.
+            ("choose", lambda n, r: 0 if (n, r) == (5, 3) else math.comb(n, r)),
+            'violation [survivor-cap]: survivors exceed C(n,k+l) C(k+l-1,l-1) {"survivors": 9, "cap": 0}',
+        ),
+        (
+            ("theorem1_bound", lambda p: 0),
+            'violation [final-bound]: family exceeds the two-term bound {"size": 10, "bound": 0}',
+        ),
+    ],
+    ids=["accounting", "survivor-cap", "final-bound"],
+)
+def test_certify_thm1_violations_exit_one(tmp_path, capsys, monkeypatch, patch, violation):
+    path = tmp_path / "ex1.txt"
+    save_family(example1(Params(5, 2, 1)), path)
+    monkeypatch.setattr(theorem1, *patch)
+    code, out, _ = run(capsys, "certify", "thm1", "--family", str(path))
+    assert code == 1
+    assert out.splitlines()[-2:] == [violation, "FAILED"]
 
 
 def test_verify_lemma3_regime_exit_two(capsys):

@@ -150,3 +150,21 @@ def test_deliberate_raises_use_the_taxonomy():
             if name not in allowed and not (name == "KeyError" and func == "__getitem__"):
                 problems.append(f"{path.name}:{node.lineno}: raises {name}")
     assert not problems, "\n".join(problems)
+
+
+def test_only_vectors_converts_between_masks_and_index_sets():
+    # Coordinate i is bit i - 1, and a mask's bits are listed, in vectors
+    # alone: no other module imports itertools.combinations or calls bin().
+    offenders = set()
+    for path in sorted(_SRC.glob("*.py")):
+        if path.stem == "vectors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                if any(alias.name == "combinations" for alias in node.names):
+                    offenders.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "combinations":
+                offenders.add(path.stem)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "bin":
+                offenders.add(path.stem)
+    assert not offenders, f"convert between masks and index sets outside vectors: {sorted(offenders)}"

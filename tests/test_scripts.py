@@ -121,6 +121,26 @@ def test_bench_pairs_summarizes_canned_runs(tmp_path):
     assert set(host) == {"python", "nproc", "platform"}
     assert host["python"] == platform.python_version() and host["nproc"] >= 1
 
+def test_bench_pairs_flags_medians_past_the_bounds():
+    module = _load("bench_pairs")
+    parent = [_bench_result(w, 0.100) for w in (1.0, 1.0, 1.0)]
+    change = [_bench_result(w, 0.124) for w in (1.2, 1.3, 1.3)]
+    metrics = module.summarize(parent, change)["metrics"]
+    # wall_s +30% against 25% is over; setup_s +24% is not.
+    bounds = {"wall_s": (0.25, "lower"), "setup_s": (0.25, "lower")}
+    assert module.over_bound(metrics, bounds) == ["wall_s"]
+    assert module.over_bound(metrics, {"setup_s": (0.2, "lower"), "wall_s": (0.5, "lower")}) == ["setup_s"]
+    # For a metric where higher is better, a rise is never over.
+    assert module.over_bound(metrics, {"wall_s": (0.01, "higher"), "setup_s": (0.01, "higher")}) == []
+    fewer = module.summarize(change, parent)["metrics"]
+    assert module.over_bound(fewer, {"wall_s": (0.2, "higher"), "setup_s": (0.2, "higher")}) == ["wall_s"]
+    # A metric without a bound is not judged.
+    assert module.over_bound(metrics, {}) == []
+    # The bounds are the repository's own.
+    bounds = module.end_to_end_bounds()
+    assert bounds["peak_rss_mb"] == (0.05, "lower") and bounds["proved"] == (0.01, "higher")
+
+
 def test_bench_pairs_alternates_and_ends_with_the_summary(capsys, monkeypatch):
     module = _load("bench_pairs")
     calls = []
@@ -142,3 +162,4 @@ def test_bench_pairs_alternates_and_ends_with_the_summary(capsys, monkeypatch):
     assert lines[0] == "certify, 3 pairs of 2 s runs at seed 4: parent -> change"
     assert summary["commits"] == {"parent": "old-head", "change": "new-head"}
     assert summary["machine"] == module.machine()
+    assert summary["over_bound"] == []

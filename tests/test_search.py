@@ -371,7 +371,7 @@ def test_bits_lists_the_set_bits_ascending():
     masks = [0, 1, 2, 3, 1 << 4999, (1 << 5000) - 1]
     masks += [rng.getrandbits(rng.randrange(1, 5001)) & rng.getrandbits(5000) for _ in range(50)]
     for mask in masks:
-        assert search._bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert vectors.bit_positions(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # ---------------------------------------------------------------- cover bound
@@ -381,7 +381,7 @@ def _greedy_cover_bound(adj, mask):
     lowest earlier unpaired neighbor, |mask| minus the pairs."""
     open_m = 0
     pairs = 0
-    for i in search._bits(mask):
+    for i in vectors.bit_positions(mask):
         cand = adj[i] & open_m
         if cand:
             open_m ^= cand & -cand
@@ -397,7 +397,7 @@ def _matching_cover_bound(adj, mask):
     root, in ascending order, without blossom shrinking."""
     mate = {}
     free = 0
-    for i in search._bits(mask):
+    for i in vectors.bit_positions(mask):
         cand = adj[i] & free
         if cand:
             j = (cand & -cand).bit_length() - 1
@@ -405,7 +405,7 @@ def _matching_cover_bound(adj, mask):
             free ^= 1 << j
         else:
             free |= 1 << i
-    for r in search._bits(free):
+    for r in vectors.bit_positions(free):
         if not free >> r & 1:
             continue  # matched by an earlier augmenting path
         parent = {}
@@ -425,7 +425,7 @@ def _matching_cover_bound(adj, mask):
                     w = nxt
                     u = parent[w]
                 break
-            for x in search._bits(nbrs):
+            for x in vectors.bit_positions(nbrs):
                 if not seen >> x & 1:
                     parent[x] = u
                     seen |= 1 << x | 1 << mate[x]
@@ -608,7 +608,7 @@ def test_solver_fail_low_contract_on_unions_of_odd_cycles(name):
         size, wit = solver.solve((1 << g.n) - 1, lo)
         if alpha > lo:
             assert size == wit.bit_count() == alpha
-            assert all(g.adj[i] & wit == 0 for i in search._bits(wit))
+            assert all(g.adj[i] & wit == 0 for i in vectors.bit_positions(wit))
         else:
             assert alpha <= size <= lo
 
@@ -636,7 +636,7 @@ def _assert_same_search_as_reference(g, mask=None):
     assert result.proof_of_optimality
     assert (result.optimum, result.witness, result.nodes_explored) == (
         size,
-        tuple(g.labels[i] for i in search._bits(wit)),
+        tuple(g.labels[i] for i in vectors.bit_positions(wit)),
         nodes,
     )
     if mask is None:
@@ -857,7 +857,7 @@ def test_orbital_branching_matches_plain_solver(triple):
         colour = [rng.randrange(3) for _ in range(p.n)]
         cells = [c for c in ({i for i in range(p.n) if colour[i] == j} for j in range(3)) if c]
         mask = sum(o for o in _cell_orbits(g.labels, cells) if rng.random() < 0.6)
-        alpha = max_independent_set(_induced(g, search._bits(mask))).optimum
+        alpha = max_independent_set(_induced(g, vectors.bit_positions(mask))).optimum
         cell_masks = tuple(sum(1 << i for i in c) for c in cells)
         for lo in (-1, alpha - 1, alpha):
             solver = search._Solver(g.adj, float("inf"))
@@ -865,7 +865,7 @@ def test_orbital_branching_matches_plain_solver(triple):
             if alpha > lo:
                 assert size == wit.bit_count() == alpha
                 assert wit & ~mask == 0
-                assert all(g.adj[i] & wit == 0 for i in search._bits(wit))
+                assert all(g.adj[i] & wit == 0 for i in vectors.bit_positions(wit))
             else:
                 assert alpha <= size <= lo
 
@@ -1062,6 +1062,40 @@ def test_max_intersecting_proves_ekr_in_a_few_nodes(nk, value, ceiling):
     assert result.proof_of_optimality
     assert result.optimum == value
     assert result.nodes_explored <= ceiling
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("find_antipodal_pair", lambda fam: fam, "solver witness is not antipodal-free"),
+        ("theorem1_bound", lambda p: 0, r"solver optimum 12 exceeds theorem 1 at Params\(n=5, k=2, l=1\)"),
+        ("theorem2_bound", lambda p: 0, r"solver optimum 12 exceeds theorem 2 at Params\(n=5, k=2, l=1\)"),
+    ],
+)
+def test_max_antipodal_free_self_checks_raise(monkeypatch, name, fake, message):
+    # Each closed-form check and the witness check raise once the value
+    # they compare against is forced wrong.
+    monkeypatch.setattr(search, name, fake)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        max_antipodal_free(Params(5, 2, 1))
+
+
+def test_max_antipodal_free_rejects_a_witness_with_repeats(monkeypatch):
+    solve = search._search
+
+    def repeat_first(*args):
+        result = solve(*args)
+        return dataclasses.replace(result, witness=result.witness[:1] * result.optimum)
+
+    monkeypatch.setattr(search, "_search", repeat_first)
+    with pytest.raises(RuntimeError, match="^solver witness has duplicate or invalid members$"):
+        max_antipodal_free(Params(5, 2, 1))
+
+
+def test_max_intersecting_checks_ekr(monkeypatch):
+    monkeypatch.setattr(search, "ekr_bound", lambda n, k: 0)
+    with pytest.raises(RuntimeError, match="^solver optimum 4 exceeds EKR at n=5, k=2$"):
+        max_intersecting(5, 2)
 
 
 # n < 2k, k = n, k = 1 and n = 2k: the symmetric root runs for every (n, k).

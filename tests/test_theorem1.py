@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -255,12 +256,32 @@ def test_pair_walks_keep_pair_order_on_sparse_families(triple):
 def test_pair_walk_over_the_cap_raises_before_building(monkeypatch):
     # C(3000,1) C(2999,1) ordered pairs: refused by count, before the
     # l-subsets or the slices are built.
-    monkeypatch.setattr(theorem1, "combinations", None)
+    monkeypatch.setattr(theorem1, "subset_masks", None)
     monkeypatch.setattr(theorem1, "_slices", None)
     fam = VectorFamily(Params(3000, 2, 1), [])
     for check in (lemma1_check, deletion_procedure, lemma2_check, certify_theorem1):
         with pytest.raises(TooLarge, match="8997000 ordered pairs"):
             check(fam)
+
+
+def test_pair_walk_costs_the_pair_count(monkeypatch):
+    # At n = 2l the pairs are a small share of all C(n, l)**2 pairs of
+    # l-sets: (18, 9, 9) has 48,620 of them against 2.36e9.  The walk
+    # lists the l-subsets of [n] once and, per A, those of [n] - A.
+    listed, walk = [], theorem1.subset_masks
+
+    def counting_subset_masks(mask, r):
+        masks = walk(mask, r)
+        listed.append(len(masks))
+        return masks
+
+    monkeypatch.setattr(theorem1, "subset_masks", counting_subset_masks)
+    pairs = choose(18, 9)
+    fam = VectorFamily(Params(18, 9, 9), [])
+    for check in (lemma1_check, lambda f: deletion_procedure(f)[1]):
+        listed.clear()
+        assert len(check(fam).pair_counts) == pairs
+        assert listed == [pairs] + [1] * pairs
 
 
 def test_deletion_accounting_identity():
@@ -294,6 +315,26 @@ def test_family_b_frozen():
     survivors, _ = deletion_procedure(fam)
     assert set(family_b(survivors, {1, 2, 4})) == {frozenset({4})}
     assert len(family_b(survivors, {1, 2, 3})) == 0
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [({9}, {1}, "index 9 outside [1..4]"), ({1}, {0}, "index 0 outside [1..4]"), ({-2}, {1}, "index -2 outside [1..4]"),
+     ({1.5}, {2}, "index 1.5 outside [1..4]"), ({7}, {9}, "index 9 outside [1..4]"),
+     ({9}, {7}, "index 9 outside [1..4]")],
+)
+def test_subfamily_names_the_first_index_outside(a, b, message):
+    # A and B are checked as the one set A | B, in its iteration order.
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        subfamily(example1(Params(4, 2, 1)), a, b)
+
+
+def test_subfamily_and_family_b_take_bools_as_ints():
+    fam = example1(Params(4, 2, 1))
+    assert set(subfamily(fam, {True}, {3})) == set(subfamily(fam, {1}, {3}))
+    assert set(family_b(fam, {True, 2, 3})) == set(family_b(fam, {1, 2, 3}))
+    with pytest.raises(RangeError, match=r"^index False outside \[1\.\.4\]$"):
+        family_b(fam, {False, 2, 3})
 
 
 def test_family_b_validates_t():

@@ -23,6 +23,7 @@ from antipodal import (
     antipodal_degree,
     antipodal_neighbors,
     antipodality_graph,
+    bit_positions,
     cardinality_exceeds,
     cardinality_v,
     choose,
@@ -31,10 +32,13 @@ from antipodal import (
     example2,
     find_antipodal_pair,
     format_vector,
+    index_mask,
     is_antipodal,
+    mask_indices,
     parse_vector,
     partner_bitsets,
     scalar_product,
+    subset_masks,
 )
 from _brute import (
     FrozensetVector,
@@ -148,6 +152,45 @@ def test_signed_vector_errors():
         SignedVector(4, [1, 5], [2])
     with pytest.raises(RangeError):
         SignedVector(4, [0, 1], [2])  # coordinates are 1-based
+
+
+def test_index_mask_inverts_mask_indices():
+    rng = random.Random(3)
+    for mask in [0, 1, 6, (1 << 70) - 1] + [rng.getrandbits(rng.randrange(1, 200)) for _ in range(50)]:
+        indices = mask_indices(mask)
+        assert indices == tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+        assert index_mask(indices, max(mask.bit_length(), 1)) == mask
+    assert index_mask([True, 3], 4) == 0b101  # a bool is the int it equals
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [([5], "index 5 outside [1..4]"), ([0], "index 0 outside [1..4]"), ([-1], "index -1 outside [1..4]"),
+     ([1.0], "index 1.0 outside [1..4]"), (["1"], "index '1' outside [1..4]"), ([None], "index None outside [1..4]"),
+     ([False], "index False outside [1..4]"), ([2, 9, 7], "index 9 outside [1..4]")],
+)
+def test_index_mask_names_the_first_index_outside(indices, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        index_mask(indices, 4)
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        SignedVector(4, [], indices)
+
+
+def test_subset_masks_walk_the_subsets_in_lex_order():
+    for mask in (0, 0b1, 0b10110, 0b1011011, (1 << 9) - 1):
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        for r in range(len(bits) + 2):
+            assert subset_masks(mask, r) == [sum(1 << i for i in c) for c in itertools.combinations(bits, r)]
+
+
+@pytest.mark.parametrize("mask", [-1, -5, -(1 << 70)])
+def test_bit_readers_reject_a_negative_mask(mask):
+    # bin() gives sign and magnitude, so a negative mask would list the
+    # bits of its magnitude; its two's-complement bits are not finite.
+    message = f"^mask {mask} is negative, so its set bits are not a finite set$"
+    for read in (bit_positions, mask_indices, lambda m: subset_masks(m, 1)):
+        with pytest.raises(RangeError, match=message):
+            read(mask)
 
 
 def _outcome(f, *args):
